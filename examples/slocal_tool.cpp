@@ -92,11 +92,6 @@
 // cancel token every command budget chains to, the engines wind down
 // cooperatively (exhausted, never a flipped verdict), `sequence --re-cache`
 // still saves the warm cache, and the process exits 3.
-//
-// --no-inprocessing disarms the CDCL inprocessing pipeline (subsumption,
-// vivification, probing, variable elimination between solves) for the
-// portfolio, sweep, and --emit-cert solvers. Verdicts and exit codes are
-// identical in both modes — the flag exists for A/B timing and debugging.
 #include <signal.h>
 
 #include <cstdint>
@@ -347,12 +342,11 @@ int cmd_zero(const Problem& pi, const BipartiteGraph& support,
 }
 
 int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
-                  const BudgetFlags& flags, bool inprocessing) {
+                  const BudgetFlags& flags) {
   SearchBudget budget_storage;
   budget_storage.chain_to(&g_signal_token);
   PortfolioOptions options;
   options.budget = &budget_storage;  // signal chain; limits stay local below
-  options.inprocessing = inprocessing;
   options.timeout_ms = flags.timeout_ms;
   if (flags.max_nodes > 0) {
     // --max-nodes caps every engine in the race: backtracking nodes and
@@ -429,8 +423,7 @@ int cmd_check_cert(const char* path) {
 
 int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
               const std::string& family_spec, bool scratch,
-              const std::string& emit_cert_path, const BudgetFlags& flags,
-              bool inprocessing) {
+              const std::string& emit_cert_path, const BudgetFlags& flags) {
   if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
     std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
     return 1;
@@ -442,7 +435,6 @@ int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
   LiftSweepOptions options;
   options.incremental = !scratch;
   options.certify_cores = !scratch;
-  options.inprocessing = inprocessing;
   options.budget = flags.configure(budget_storage);
   const LiftSweepResult result =
       run_lift_sweep(pi, big_delta, big_r, *supports, options);
@@ -492,8 +484,7 @@ int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
       return 1;
     }
     const auto certificate = cert::make_lift_unsat_certificate(
-        pi, big_delta, big_r, (*supports)[unsat_index], options.budget,
-        inprocessing);
+        pi, big_delta, big_r, (*supports)[unsat_index], options.budget);
     if (!certificate.has_value()) {
       std::fprintf(stderr, "--emit-cert: failed to build the certificate\n");
       return 1;
@@ -915,10 +906,6 @@ void print_usage(std::FILE* out) {
                "                                     when nodes are still live)\n"
                "  --seed=N                           simulate: instance + algorithm\n"
                "                                     seed\n"
-               "  --no-inprocessing                  portfolio/sweep/--emit-cert:\n"
-               "                                     disarm CDCL inprocessing (same\n"
-               "                                     verdicts and exit codes, A/B\n"
-               "                                     timing only)\n"
                "  --scratch                          sweep: re-encode each support\n"
                "  --repeat=N                         sequence: repeat last problem\n"
                "  --re-cache=PATH                    sequence/discover: persistent\n"
@@ -954,7 +941,6 @@ int main(int argc, char** argv) {
   // Split budget flags from positional arguments.
   BudgetFlags flags;
   bool scratch = false;
-  bool inprocessing = true;
   std::size_t repeat = 0;
   DiscoverFlags dflags;
   std::size_t sim_threads = 1;
@@ -970,8 +956,6 @@ int main(int argc, char** argv) {
       flags.max_nodes = std::strtoull(argv[i] + 12, nullptr, 10);
     } else if (std::strcmp(argv[i], "--scratch") == 0) {
       scratch = true;
-    } else if (std::strcmp(argv[i], "--no-inprocessing") == 0) {
-      inprocessing = false;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       sim_threads = std::strtoul(argv[i] + 10, nullptr, 10);
       dflags.threads = sim_threads == 0 ? 1 : sim_threads;
@@ -1054,14 +1038,14 @@ int main(int argc, char** argv) {
   if (cmd == "sweep" && args.size() >= 5) {
     return cmd_sweep(*pi, std::strtoul(args[2], nullptr, 10),
                      std::strtoul(args[3], nullptr, 10), args[4], scratch,
-                     emit_cert_path, flags, inprocessing);
+                     emit_cert_path, flags);
   }
   if ((cmd == "solve" || cmd == "zero" || cmd == "portfolio") && args.size() >= 3) {
     const auto support = load_support(args[2]);
     if (!support) return 1;
     if (cmd == "solve") return cmd_solve(*pi, *support, flags);
     if (cmd == "zero") return cmd_zero(*pi, *support, flags);
-    return cmd_portfolio(*pi, *support, flags, inprocessing);
+    return cmd_portfolio(*pi, *support, flags);
   }
   return usage();
 }

@@ -55,7 +55,7 @@ LiftSweepResult run_lift_sweep(const Problem& pi, std::size_t big_delta,
   result.steps.reserve(supports.size());
 
   if (options.incremental) {
-    IncrementalLabelingSweep sweep(std::move(*psi), options.inprocessing);
+    IncrementalLabelingSweep sweep(std::move(*psi));
     for (const BipartiteGraph& g : supports) {
       const auto start = std::chrono::steady_clock::now();
       const IncrementalLabelingSweep::Step raw =

@@ -41,11 +41,6 @@ struct LiftSweepOptions {
   /// failed-assumption core to certify it (cost is usually trivial — the
   /// refutation is already learned).
   bool certify_cores = false;
-  /// Arms CDCL inprocessing on the accumulated solver (incremental mode
-  /// only): each step first simplifies the clauses the previous steps left
-  /// behind. Verdicts are unaffected — inprocessing on ≡ off is asserted by
-  /// the differential oracle — only conflicts and wall time change.
-  bool inprocessing = true;
   SearchBudget* budget = nullptr;
 };
 
@@ -77,9 +72,8 @@ struct LiftSweepResult {
   std::uint64_t total_conflicts = 0;
   std::uint64_t total_propagations = 0;  // incremental mode: accumulated solver
   double total_wall_ms = 0.0;
-  /// Incremental mode: the accumulated solver's inprocessing and core-probe
-  /// counters at the end of the sweep (all zero in scratch mode, and with
-  /// inprocessing off everything except the core-probe counters is zero).
+  /// Incremental mode: the accumulated solver's core-probe counters at the
+  /// end of the sweep (all zero in scratch mode).
   SatStats sat_stats;
 };
 

@@ -60,6 +60,19 @@ std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
   return make_gadget_supports(big_delta, big_r, parsed->lo, parsed->hi);
 }
 
+/// Sweep memo key prefix: the canonical fingerprint of the problem plus the
+/// lift targets. The full key appends the request's family spec, so a
+/// repeat of an already-decided sweep finds its verdicts whatever file path
+/// or label names it arrived under.
+std::string sweep_memo_prefix(const Problem& problem, std::size_t big_delta,
+                              std::size_t big_r) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%016llx/%zu/%zu/",
+                static_cast<unsigned long long>(canonicalize(problem).fingerprint),
+                big_delta, big_r);
+  return buf;
+}
+
 /// Comma-joins step verdicts the way every sweep response spells them.
 std::string join_verdicts(const std::vector<Verdict>& verdicts) {
   std::string joined;
@@ -476,6 +489,53 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
                                                    options_.retry_after_ms,
                                                    consumed));
   };
+  const auto invalid_all = [&](const std::string& message) {
+    for (const AdmittedSweep& a : group) {
+      finish_request(a.ticket, make_invalid(a.request.id, message));
+    }
+  };
+
+  // Load and validate once: every member shares the group key, so the
+  // canonical problem, lift targets, and family kind agree.
+  std::string error;
+  const auto problem = load_problem_file(group.front().request.path, &error);
+  if (!problem) {
+    invalid_all(error);
+    return;
+  }
+  const std::string memo_prefix = sweep_memo_prefix(
+      *problem, group.front().request.big_delta, group.front().request.big_r);
+
+  // Members whose exact sweep is already decided replay it from the memo,
+  // as they would outside a batch; only the rest share the group solve.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (budgets[i] && !budgets[i]->halted()) {
+      const auto hit = replay_sweep_memo(memo_prefix + group[i].request.family,
+                                         group[i].request, *budgets[i]);
+      if (hit) {
+        finish_request(group[i].ticket, *hit);
+        continue;
+      }
+    }
+    if (kept != i) {
+      group[kept] = std::move(group[i]);
+      budgets[kept] = std::move(budgets[i]);
+    }
+    ++kept;
+  }
+  group.resize(kept);
+  budgets.resize(kept);
+  if (group.empty()) return;
+  if (group.size() == 1) {
+    // A lone member takes the per-request path.
+    if (budgets[0] && !budgets[0]->halted()) {
+      finish_request(group[0].ticket, run_sweep(group[0].request, *budgets[0]));
+    } else {
+      shed(0);
+    }
+    return;
+  }
 
   // The executor is the first member whose budget is still live; members
   // already tripped (injected exhaustion, watchdog cancel, shutdown) are
@@ -492,22 +552,8 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
     return;
   }
 
-  const auto invalid_all = [&](const std::string& message) {
-    for (const AdmittedSweep& a : group) {
-      finish_request(a.ticket, make_invalid(a.request.id, message));
-    }
-  };
-
-  // Load and validate once off the executor: every member shares the group
-  // key, so the canonical problem, lift targets, and family kind agree.
   const Request& lead = group[executor].request;
   SearchBudget& budget = *budgets[executor];
-  std::string error;
-  const auto problem = load_problem_file(lead.path, &error);
-  if (!problem) {
-    invalid_all(error);
-    return;
-  }
   std::vector<SweepGroupMember> members;
   members.reserve(group.size());
   bool cycles = false;
@@ -533,11 +579,6 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
     return;
   }
 
-  char key_buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(key_buf, sizeof(key_buf), "%016llx/%zu/%zu/",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                lead.big_delta, lead.big_r);
   const std::string group_size = std::to_string(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     // Shed members whose own budget tripped while the executor solved
@@ -569,7 +610,7 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
       // Fully decided slices feed the memo exactly like budget-clean
       // per-request sweeps, so later singletons replay them for free.
       const std::lock_guard<std::mutex> lock(memo_mutex_);
-      sweep_memo_.emplace(std::string(key_buf) + group[i].request.family,
+      sweep_memo_.emplace(memo_prefix + group[i].request.family,
                           SweepMemoEntry{joined, verdicts.size()});
     }
     finish_request(group[i].ticket,
@@ -636,30 +677,12 @@ Response Server::run_sweep(const Request& request, SearchBudget& budget) {
       parse_family(request.family, request.big_delta, request.big_r, &error);
   if (!supports) return make_invalid(request.id, error);
 
-  // The cross-request snapshot pool: completed sweeps are keyed by the
-  // canonical fingerprint of the problem plus the lift targets and family,
-  // so a repeat of an already-decided sweep replays its verdicts without
-  // touching a solver. Only budget-clean runs enter the memo.
-  char key_buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(key_buf, sizeof(key_buf), "%016llx/%zu/%zu/",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                request.big_delta, request.big_r);
-  const std::string memo_key = std::string(key_buf) + request.family;
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = sweep_memo_.find(memo_key);
-    if (it != sweep_memo_.end()) {
-      {
-        const std::lock_guard<std::mutex> counter_lock(counter_mutex_);
-        ++counters_.sweep_memo_hits;
-      }
-      return make_ok(request.id,
-                     "verdicts=" + it->second.verdicts + " supports=" +
-                         std::to_string(it->second.supports) + " memo=hit",
-                     budget.consumption());
-    }
-  }
+  // The cross-request snapshot pool: a repeat of an already-decided sweep
+  // replays its verdicts without touching a solver. Only budget-clean runs
+  // enter the memo.
+  const std::string memo_key =
+      sweep_memo_prefix(*problem, request.big_delta, request.big_r) + request.family;
+  if (auto hit = replay_sweep_memo(memo_key, request, budget)) return std::move(*hit);
 
   LiftSweepOptions options;
   options.incremental = true;
@@ -696,6 +719,22 @@ Response Server::run_sweep(const Request& request, SearchBudget& budget) {
                      std::to_string(result.steps.size()) + " clauses=" +
                      std::to_string(result.total_clauses) + " memo=miss",
                  consumed);
+}
+
+std::optional<Response> Server::replay_sweep_memo(const std::string& memo_key,
+                                                  const Request& request,
+                                                  SearchBudget& budget) {
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto it = sweep_memo_.find(memo_key);
+  if (it == sweep_memo_.end()) return std::nullopt;
+  {
+    const std::lock_guard<std::mutex> counter_lock(counter_mutex_);
+    ++counters_.sweep_memo_hits;
+  }
+  return make_ok(request.id,
+                 "verdicts=" + it->second.verdicts + " supports=" +
+                     std::to_string(it->second.supports) + " memo=hit",
+                 budget.consumption());
 }
 
 Response Server::run_check_cert(const Request& request, SearchBudget& budget) {

@@ -237,6 +237,11 @@ class Server {
   void execute_sweep_group(std::vector<AdmittedSweep> group);
   Response run_sequence(const Request& request, SearchBudget& budget);
   Response run_sweep(const Request& request, SearchBudget& budget);
+  /// The memoized answer to `request` under `memo_key` (counted as a
+  /// sweep_memo_hit), or nullopt when the sweep was never decided.
+  std::optional<Response> replay_sweep_memo(const std::string& memo_key,
+                                            const Request& request,
+                                            SearchBudget& budget);
   Response run_check_cert(const Request& request, SearchBudget& budget);
   Response run_discover(const Request& request, SearchBudget& budget);
   /// Builds an AdmittedSweep's group key (loads + canonicalizes the problem

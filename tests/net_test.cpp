@@ -588,6 +588,54 @@ TEST(NetBatcher, GroupsOverlappingRangesAndMatchesUnbatchedVerdicts) {
   EXPECT_EQ(verdict_token(b3), ref1) << b3;
 }
 
+TEST(NetBatcher, MemoizedSweepsInABatchReplayFromTheMemo) {
+  serve::ServeOptions options;
+  options.workers = 2;
+  serve::Server server(options);
+  Collector sink;
+  sink.attach(server);
+  SweepBatcherOptions batch_options;
+  batch_options.window_ms = 60'000;  // flush() decides, not the clock
+  SweepBatcher batcher(server, batch_options);
+  batcher.attach();
+  const std::string sweep = "sweep " + problem("two_coloring.txt") + " 2 2 ";
+
+  // Decide cycles:2..4 once; it enters the memo.
+  EXPECT_TRUE(server.handle_line("req m1 " + sweep + "cycles:2..4"));
+  batcher.flush();
+  server.drain();
+  const std::string m1 = sink.only_response("m1");
+  EXPECT_NE(m1.find("memo=miss"), std::string::npos) << m1;
+  EXPECT_EQ(server.counters().sweep_memo_hits, 0u);
+
+  // A repeat inside a batch window is answered from the memo; the one
+  // member left over takes the per-request path.
+  EXPECT_TRUE(server.handle_line("req m2 " + sweep + "cycles:2..4"));
+  EXPECT_TRUE(server.handle_line("req m3 " + sweep + "cycles:3..5"));
+  batcher.flush();
+  server.drain();
+  const std::string m2 = sink.only_response("m2");
+  const std::string m3 = sink.only_response("m3");
+  EXPECT_NE(m2.find("memo=hit"), std::string::npos) << m2;
+  EXPECT_EQ(verdict_token(m2), verdict_token(m1)) << m2;
+  EXPECT_NE(m3.find("memo=miss"), std::string::npos) << m3;
+  EXPECT_EQ(server.counters().sweep_memo_hits, 1u);
+
+  // Two hits and two misses in one window: the misses still share a solve.
+  EXPECT_TRUE(server.handle_line("req m4 " + sweep + "cycles:2..4"));
+  EXPECT_TRUE(server.handle_line("req m5 " + sweep + "cycles:3..5"));
+  EXPECT_TRUE(server.handle_line("req m6 " + sweep + "cycles:4..6"));
+  EXPECT_TRUE(server.handle_line("req m7 " + sweep + "cycles:5..7"));
+  batcher.flush();
+  server.drain();
+  EXPECT_NE(sink.only_response("m4").find("memo=hit"), std::string::npos);
+  EXPECT_EQ(verdict_token(sink.only_response("m5")), verdict_token(m3));
+  EXPECT_NE(sink.only_response("m5").find("memo=hit"), std::string::npos);
+  EXPECT_NE(sink.only_response("m6").find("batch=2"), std::string::npos);
+  EXPECT_NE(sink.only_response("m7").find("batch=2"), std::string::npos);
+  EXPECT_EQ(server.counters().sweep_memo_hits, 3u);
+}
+
 TEST(NetBatcher, FullGroupDispatchesWithoutWaitingForTheWindow) {
   serve::ServeOptions options;
   options.workers = 2;

@@ -4,6 +4,7 @@
 // 3 = budget exhausted (kExitExhausted — no verdict, never a wrong one),
 // 1 = bad input, 64 = usage error.
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -27,17 +28,23 @@ int run_tool(const std::string& args) {
   return WEXITSTATUS(status);
 }
 
-/// Same, but captures stdout into *out.
+/// Same, but captures stdout into *out. The capture file is per process:
+/// ctest runs each test as its own process, several at once.
 int run_tool_capture(const std::string& args, std::string* out) {
   const std::string capture =
-      (std::filesystem::path(testing::TempDir()) / "tool_stdout.txt").string();
+      (std::filesystem::path(testing::TempDir()) /
+       ("tool_stdout." + std::to_string(::getpid()) + ".txt"))
+          .string();
   const std::string cmd = std::string("'") + SLOCAL_TOOL_PATH + "' " + args +
                           " >'" + capture + "' 2>/dev/null";
   const int status = std::system(cmd.c_str());
-  std::ifstream in(capture);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
+  {
+    std::ifstream in(capture);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    *out = buffer.str();
+  }
+  std::filesystem::remove(capture);
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
@@ -69,9 +76,7 @@ std::vector<ExitRow> exit_rows() {
   // contradiction (a double-counting argument over the whole graph) that no
   // engine — CDCL under any seed, backtracking under any order — can decide
   // within one node/conflict, so every racer trips its cap and the tool must
-  // report exit 3 rather than pretend --max-nodes was honored; the pin holds
-  // with inprocessing armed and disarmed because pre-race simplification is
-  // capped by the same per-engine budget.
+  // report exit 3 rather than pretend --max-nodes was honored.
   const std::string parity_capped =
       "portfolio " + problem("edge_parity_3.txt") + "complete:3x3 --max-nodes=1";
   const std::string sweep_cycles =
@@ -84,29 +89,15 @@ std::vector<ExitRow> exit_rows() {
        "portfolio " + problem("two_coloring.txt") + "cycle:4", 0},
       {"PortfolioUnsolvableOddCycle",
        "portfolio " + problem("two_coloring.txt") + "cycle:3", 2},
+      {"PortfolioParityUnsolvable",
+       "portfolio " + problem("edge_parity_3.txt") + "complete:3x3", 2},
       {"PortfolioExhaustsOnCappedParity", parity_capped, 3},
-      {"PortfolioExhaustsOnCappedParityNoInprocessing",
-       parity_capped + " --no-inprocessing", 3},
-      // --no-inprocessing is an A/B timing knob: verdicts and exit codes
-      // are contractually identical in both modes.
-      {"PortfolioSolvableNoInprocessing",
-       "portfolio " + problem("two_coloring.txt") + "cycle:4 --no-inprocessing",
-       0},
-      {"PortfolioUnsolvableNoInprocessing",
-       "portfolio " + problem("two_coloring.txt") + "cycle:3 --no-inprocessing",
-       2},
-      {"PortfolioParityUnsolvableNoInprocessing",
-       "portfolio " + problem("edge_parity_3.txt") +
-           "complete:3x3 --no-inprocessing",
-       2},
-      // sweep: decides the cycle family incrementally, from scratch, and
-      // without inprocessing; exhausts under a one-node cap; rejects lift
-      // targets the problem cannot dominate (maximal_matching_3 has black
-      // degree 2, so r = 1 cannot host the lift).
+      // sweep: decides the cycle family incrementally and from scratch;
+      // exhausts under a one-node cap; rejects lift targets the problem
+      // cannot dominate (maximal_matching_3 has black degree 2, so r = 1
+      // cannot host the lift).
       {"SweepDecidesCycles", sweep_cycles, 0},
       {"SweepDecidesCyclesScratch", sweep_cycles + " --scratch", 0},
-      {"SweepDecidesCyclesNoInprocessing",
-       sweep_cycles + " --no-inprocessing", 0},
       {"SweepExhaustsUnderNodeCap", sweep_cycles + " --max-nodes=1", 3},
       {"SweepRejectsNonDominatingLift",
        "sweep " + problem("maximal_matching_3.txt") + "3 1 gadgets:1..3", 1},
@@ -223,8 +214,7 @@ TEST(ToolCli, HelpExitsZeroAndMentionsEveryCommand) {
   EXPECT_EQ(run_tool_capture("--help", &out), 0);
   for (const char* cmd : {"print", "re", "fixed", "lift", "solve", "zero",
                           "portfolio", "sweep", "sequence", "check-cert",
-                          "simulate", "discover", "--emit-cert",
-                          "--no-inprocessing"}) {
+                          "simulate", "discover", "--emit-cert"}) {
     EXPECT_NE(out.find(cmd), std::string::npos) << "--help misses " << cmd;
   }
 }
@@ -285,20 +275,16 @@ TEST(ToolCli, SequenceEmitsCertificateBothCheckersAccept) {
 
 TEST(ToolCli, SweepEmitsLiftUnsatCertificateBothCheckersAccept) {
   // cycles:2..6 contains the odd cycles C_3 and C_5; the first unsolvable
-  // support (C_3) gets a from-scratch DRAT refutation. The emitted proof
-  // must validate with inprocessing armed (every pass logs its additions
-  // and deletions) and disarmed alike.
-  for (const char* mode : {"", " --no-inprocessing"}) {
-    const std::string cert =
-        (std::filesystem::path(testing::TempDir()) / "cli_lift.cert").string();
-    std::filesystem::remove(cert);
-    EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
-                       "2 2 cycles:2..6 --emit-cert='" + cert + "'" + mode),
-              0);
-    ASSERT_TRUE(std::filesystem::exists(cert));
-    EXPECT_EQ(run_tool("check-cert '" + cert + "'"), 0) << "mode:" << mode;
-    EXPECT_EQ(run_cert_check(cert), 0) << "mode:" << mode;
-  }
+  // support (C_3) gets a from-scratch DRAT refutation.
+  const std::string cert =
+      (std::filesystem::path(testing::TempDir()) / "cli_lift.cert").string();
+  std::filesystem::remove(cert);
+  EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
+                     "2 2 cycles:2..6 --emit-cert='" + cert + "'"),
+            0);
+  ASSERT_TRUE(std::filesystem::exists(cert));
+  EXPECT_EQ(run_tool("check-cert '" + cert + "'"), 0);
+  EXPECT_EQ(run_cert_check(cert), 0);
 }
 
 TEST(ToolCli, SweepEmitCertFailsWhenNothingIsUnsolvable) {
