@@ -86,7 +86,9 @@
 //   --timeout-ms=N   wall-clock limit for the command's searches
 //   --max-nodes=N    search-node limit (forces deterministic serial paths)
 // A search that runs out of budget exits with code 3 and prints the budget
-// diagnostics; it never misreports as solvable/unsolvable.
+// diagnostics; it never misreports as solvable/unsolvable. Any other
+// argument starting with `--` that no command knows is a usage error
+// (exit 64), so a misspelt budget flag never runs an unbudgeted search.
 //
 // SIGINT/SIGTERM are handled the same way: the handler trips a global
 // cancel token every command budget chains to, the engines wind down
@@ -986,6 +988,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       print_usage(stdout);
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return usage();
     } else {
       args.push_back(argv[i]);
     }

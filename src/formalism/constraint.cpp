@@ -7,13 +7,13 @@ namespace slocal {
 
 bool Constraint::add(Configuration c) {
   assert(c.size() == degree_);
-  extension_index_.reset();
+  drop_index();
   return configs_.insert(std::move(c)).second;
 }
 
 std::size_t Constraint::add_condensed(const std::vector<std::vector<Label>>& alternatives) {
   assert(alternatives.size() == degree_);
-  extension_index_.reset();
+  drop_index();
   if (alternatives.empty()) {
     return add(Configuration{}) ? 1 : 0;
   }
@@ -64,30 +64,69 @@ std::size_t Constraint::add_condensed(const std::vector<std::vector<Label>>& alt
 
 bool Constraint::extendable(const Configuration& partial) const {
   if (partial.size() > degree_) return false;
+  if (packed_index_) {
+    // A label >= 16 occurs in no member of a packable constraint.
+    return packed::fits(partial) && packed_index_->contains(packed::pack(partial));
+  }
   if (extension_index_) return extension_index_->contains(partial);
   return std::any_of(configs_.begin(), configs_.end(), [&](const Configuration& c) {
     return partial.submultiset_of(c);
   });
 }
 
+namespace {
+
+/// (label, multiplicity) runs of a canonical (sorted) configuration.
+std::vector<std::pair<Label, std::size_t>> label_runs(const Configuration& c) {
+  std::vector<std::pair<Label, std::size_t>> runs;
+  const auto labels = c.labels();
+  for (std::size_t i = 0; i < labels.size();) {
+    std::size_t j = i;
+    while (j < labels.size() && labels[j] == labels[i]) ++j;
+    runs.emplace_back(labels[i], j - i);
+    i = j;
+  }
+  return runs;
+}
+
+}  // namespace
+
 bool Constraint::build_extension_index(std::size_t max_entries) const {
-  if (extension_index_) return true;
+  if (extension_index_built()) return true;
 
   // Projected size (an upper bound: sub-multisets shared between members
   // dedupe): for a member with label multiplicities m_1..m_k there are
   // prod(m_i + 1) sub-multisets.
   std::uint64_t projected = 0;
+  bool packable = degree_ <= packed::kMaxCount;
   for (const auto& c : configs_) {
+    packable = packable && packed::fits(c);
     std::uint64_t per_member = 1;
-    const auto labels = c.labels();
-    for (std::size_t i = 0; i < labels.size();) {
-      std::size_t j = i;
-      while (j < labels.size() && labels[j] == labels[i]) ++j;
-      per_member *= static_cast<std::uint64_t>(j - i) + 1;
-      i = j;
+    for (const auto& [label, count] : label_runs(c)) {
+      per_member *= static_cast<std::uint64_t>(count) + 1;
     }
     projected += per_member;
     if (projected > max_entries) return false;
+  }
+
+  if (packable) {
+    std::vector<PackedMultiset> keys;
+    keys.reserve(static_cast<std::size_t>(projected));
+    for (const auto& c : configs_) {
+      const auto runs = label_runs(c);
+      auto emit = [&](auto&& self, std::size_t run, PackedMultiset key) -> void {
+        if (run == runs.size()) {
+          keys.push_back(key);
+          return;
+        }
+        for (std::size_t k = 0; k <= runs[run].second; ++k) {
+          self(self, run + 1, key + k * packed::unit(runs[run].first));
+        }
+      };
+      emit(emit, 0, 0);
+    }
+    packed_index_ = std::make_shared<const PackedSet>(keys);
+    return true;
   }
 
   auto index = std::make_unique<std::unordered_set<Configuration>>();
@@ -95,16 +134,9 @@ bool Constraint::build_extension_index(std::size_t max_entries) const {
   std::vector<Label> chosen;
   chosen.reserve(degree_);
   for (const auto& c : configs_) {
-    const auto labels = c.labels();
-    // Compress to (label, multiplicity) runs; labels are sorted, so
-    // emitting counts in run order keeps `chosen` canonical.
-    std::vector<std::pair<Label, std::size_t>> runs;
-    for (std::size_t i = 0; i < labels.size();) {
-      std::size_t j = i;
-      while (j < labels.size() && labels[j] == labels[i]) ++j;
-      runs.emplace_back(labels[i], j - i);
-      i = j;
-    }
+    // Labels are sorted, so emitting counts in run order keeps `chosen`
+    // canonical.
+    const auto runs = label_runs(c);
     auto emit = [&](auto&& self, std::size_t run) -> void {
       if (run == runs.size()) {
         index->insert(Configuration(chosen));

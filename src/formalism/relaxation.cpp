@@ -7,6 +7,7 @@
 #include <mutex>
 #include <utility>
 
+#include "src/formalism/packed_multiset.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/thread_pool.hpp"
@@ -40,15 +41,22 @@ bool label_map_valid(const Problem& pi, const Problem& pi_prime,
 /// extension — so the serial search visits the same valid leaves in the same
 /// order as a leaf-only check would, just without the dead subtrees.
 struct MaxLabelBuckets {
-  std::vector<std::vector<std::pair<const Configuration*, const Constraint*>>> at;
+  struct Entry {
+    const Configuration* config;
+    const Constraint* target;
+    bool packed;  // target has a packed index: probe the remapped key
+  };
+  std::vector<std::vector<Entry>> at;
 
+  /// Expects the extension indexes of Π' to be built already, so that
+  /// concurrent searches only read them.
   MaxLabelBuckets(const Problem& pi, const Problem& pi_prime) {
     at.resize(pi.alphabet_size());
     const auto add = [&](const Constraint& from, const Constraint& to) {
       for (const Configuration& c : from.members()) {
         Label mx = 0;
         for (const Label l : c.labels()) mx = std::max(mx, l);
-        at[mx].push_back({&c, &to});
+        at[mx].push_back({&c, &to, to.packed_index_built()});
       }
     };
     add(pi.white(), pi_prime.white());
@@ -56,10 +64,22 @@ struct MaxLabelBuckets {
   }
 
   /// All configurations whose labels are <= level map inside Π' under `map`
-  /// (only entries map[0..level] are read).
+  /// (only entries map[0..level] are read). A packed target is probed with
+  /// the remapped multiset as a key sum: at full degree, extendable is
+  /// membership.
   bool ok_at(std::size_t level, const std::vector<Label>& map) const {
-    for (const auto& [config, target] : at[level]) {
-      if (!target->contains(remap(*config, map))) return false;
+    for (const auto& [config, target, packed] : at[level]) {
+      if (!packed) {
+        if (!target->contains(remap(*config, map))) return false;
+        continue;
+      }
+      PackedMultiset key = 0;
+      for (const Label l : config->labels()) {
+        // A packable constraint has no member with a label >= 16.
+        if (map[l] >= packed::kLabels) return false;
+        key += packed::unit(map[l]);
+      }
+      if (!target->extendable(key)) return false;
     }
     return true;
   }
@@ -138,6 +158,53 @@ bool black_side_ok(const Problem& pi, const Problem& pi_prime,
   return true;
 }
 
+/// black_side_ok against a packed C_B(Π'), with the same verdict. Each
+/// choice is a key sum probed against the packed index. Positions holding
+/// the same label draw from the same r(l), so their choices are enumerated
+/// as multisets (non-decreasing picks) rather than as tuples, and a partial
+/// choice that no member extends fails the whole configuration at once.
+bool black_side_ok_packed(const Problem& pi, const Problem& pi_prime,
+                          const std::vector<SmallBitset>& r) {
+  const Constraint& target = pi_prime.black();
+  // units[l]: the packed units of r(l), or nothing with `wide[l]` set when
+  // r(l) holds a label >= 16, which no member of a packable constraint has.
+  std::vector<std::vector<PackedMultiset>> units(r.size());
+  std::vector<char> wide(r.size(), 0);
+  for (std::size_t l = 0; l < r.size(); ++l) {
+    for (const std::size_t t : r[l].indices()) {
+      if (t >= packed::kLabels) {
+        wide[l] = 1;
+        break;
+      }
+      units[l].push_back(packed::unit(static_cast<Label>(t)));
+    }
+  }
+  for (const auto& black : pi.black().members()) {
+    const auto labels = black.labels();  // sorted: equal labels are adjacent
+    bool any_empty = false;
+    bool any_wide = false;
+    for (const Label l : labels) {
+      any_empty = any_empty || r[l].empty();
+      any_wide = any_wide || wide[l] != 0;
+    }
+    if (any_empty) continue;
+    if (any_wide) return false;
+    auto all_inside = [&](auto&& self, std::size_t pos, std::size_t min_index,
+                          PackedMultiset key) -> bool {
+      if (pos == labels.size()) return true;
+      const auto& choices = units[labels[pos]];
+      const std::size_t from = pos > 0 && labels[pos] == labels[pos - 1] ? min_index : 0;
+      for (std::size_t i = from; i < choices.size(); ++i) {
+        const PackedMultiset next = key + choices[i];
+        if (!target.extendable(next) || !self(self, pos + 1, i, next)) return false;
+      }
+      return true;
+    };
+    if (!all_inside(all_inside, 0, 0, 0)) return false;
+  }
+  return true;
+}
+
 /// Every distinct positional image of a target white configuration: all
 /// distinct permutations of its label vector.
 std::vector<std::vector<Label>> positional_images(const Configuration& target) {
@@ -160,7 +227,9 @@ struct RelaxSearch {
   const std::atomic<bool>* stop = nullptr;  // parallel first-wins flag
   std::uint64_t visited = 0;
   bool exhausted = false;
-  ConfigMapping mapping;
+  ConfigMapping mapping{};
+  /// C_B(Π') has a packed index (built before any fan-out).
+  bool packed = pi_prime.black().packed_index_built();
 
   bool recurse(std::size_t index, std::vector<SmallBitset>& r) {
     if (exhausted) return false;
@@ -175,7 +244,7 @@ struct RelaxSearch {
       // Apply: extend r positionally.
       const std::vector<SmallBitset> saved = r;
       for (std::size_t i = 0; i < source.size(); ++i) r[source[i]].set(image[i]);
-      if (black_side_ok(pi, pi_prime, r)) {
+      if (packed ? black_side_ok_packed(pi, pi_prime, r) : black_side_ok(pi, pi_prime, r)) {
         mapping[source] = image;
         if (recurse(index + 1, r)) return true;
         mapping.erase(source);
@@ -205,6 +274,8 @@ LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_pr
     }
     return result;
   }
+  pi_prime.white().build_extension_index();
+  pi_prime.black().build_extension_index();
   const MaxLabelBuckets buckets(pi, pi_prime);
   const std::uint64_t limit =
       options.node_budget == 0 ? kUnlimitedNodes : options.node_budget;
@@ -281,6 +352,7 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
       pi.black_degree() != pi_prime.black_degree()) {
     return result;  // kNo
   }
+  pi_prime.black().build_extension_index();  // before any fan-out
   std::vector<Configuration> sources = pi.white().sorted_members();
   // Candidate positional images: all distinct orderings of all white
   // configurations of Π'.

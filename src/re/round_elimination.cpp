@@ -12,6 +12,7 @@
 
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/diagram.hpp"
+#include "src/formalism/packed_multiset.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/thread_pool.hpp"
@@ -70,20 +71,54 @@ bool superset_matching(const std::vector<SmallBitset>& a,
 /// A set-configuration: canonical (sorted by raw bits) multiset of subsets.
 using SetConfig = std::vector<SmallBitset>;
 
+/// Choice-prefix keys of the hardened DFS and the relaxed-side choice DFS:
+/// packed words when the queried constraint has a packed index, canonical
+/// Configurations otherwise (degree > 15, a label >= 16, or an index too
+/// large to build). Both instantiations run the same search in the same
+/// order, so every REStats counter is identical across the two.
+struct PackedKeys {
+  using Key = PackedMultiset;
+  using Seen = PackedScratchSet;
+  static Key add(Key key, Label l) { return key + packed::unit(l); }
+  static bool insert(Seen& seen, Key key) { return seen.insert(key); }
+};
+
+struct ConfigKeys {
+  using Key = Configuration;
+  using Seen = std::unordered_set<Configuration>;
+  static Key add(const Key& key, Label l) { return key.with_added(l); }
+  static bool insert(Seen& seen, const Key& key) { return seen.insert(key).second; }
+};
+
+/// Labels of every set, listed once so the DFS loops never re-expand a
+/// bitset.
+std::vector<std::vector<Label>> label_lists(const std::vector<SmallBitset>& sets) {
+  std::vector<std::vector<Label>> out;
+  out.reserve(sets.size());
+  for (const SmallBitset s : sets) {
+    std::vector<Label> labels;
+    for (const std::size_t l : s.indices()) labels.push_back(static_cast<Label>(l));
+    out.push_back(std::move(labels));
+  }
+  return out;
+}
+
 /// Extends every choice-prefix in `partials` by every label of `next_set`,
-/// deduplicating; fails (returns false) as soon as a prefix stops being
+/// deduplicating in first-occurrence order through `seen` (a reused
+/// scratch set); fails (returns false) as soon as a prefix stops being
 /// extendable inside `universal`.
-bool extend_partials(const Constraint& universal,
-                     const std::vector<Configuration>& partials, SmallBitset next_set,
-                     std::vector<Configuration>& out, REStats& stats) {
-  std::unordered_set<Configuration> seen;
+template <class K>
+bool extend_partials(const Constraint& universal, const std::vector<typename K::Key>& partials,
+                     const std::vector<Label>& next_set, std::vector<typename K::Key>& out,
+                     typename K::Seen& seen, REStats& stats) {
+  seen.clear();
   out.clear();
   for (const auto& p : partials) {
-    for (const std::size_t l : next_set.indices()) {
-      Configuration q = p.with_added(static_cast<Label>(l));
+    for (const Label l : next_set) {
+      typename K::Key q = K::add(p, l);
       ++stats.extendable_calls;
       if (!universal.extendable(q)) return false;
-      if (seen.insert(q).second) {
+      if (K::insert(seen, q)) {
         out.push_back(std::move(q));
       } else {
         ++stats.partials_deduped;
@@ -97,6 +132,7 @@ bool extend_partials(const Constraint& universal,
 struct DfsShared {
   const Constraint& universal;
   const std::vector<SmallBitset>& candidates;
+  const std::vector<std::vector<Label>>& candidate_labels;
   std::uint64_t max_configurations;
   SearchBudget* budget;  // may be null; charged one node per extension
   std::atomic<std::uint64_t> total{0};
@@ -106,11 +142,12 @@ struct DfsShared {
 /// Serial DFS over non-decreasing candidate indices; `partials` is the set
 /// of all choice prefixes (canonical multisets), every one of which must
 /// extend to a member of `universal`. Appends completed configurations to
-/// `out` in canonical DFS order.
+/// `out` in canonical DFS order. `seen` is the caller's dedup scratch.
+template <class K>
 void dfs_branch(DfsShared& shared, std::size_t min_candidate,
                 std::vector<SmallBitset>& chosen,
-                const std::vector<Configuration>& partials,
-                std::vector<SetConfig>& out, REStats& stats) {
+                const std::vector<typename K::Key>& partials,
+                std::vector<SetConfig>& out, typename K::Seen& seen, REStats& stats) {
   if (shared.overflow.load(std::memory_order_relaxed)) return;
   if (chosen.size() == shared.universal.degree()) {
     out.push_back(chosen);
@@ -120,15 +157,16 @@ void dfs_branch(DfsShared& shared, std::size_t min_candidate,
     }
     return;
   }
-  std::vector<Configuration> next;
+  std::vector<typename K::Key> next;
   for (std::size_t c = min_candidate; c < shared.candidates.size(); ++c) {
     ++stats.dfs_nodes;
     if (shared.budget != nullptr && !shared.budget->charge()) return;
-    if (!extend_partials(shared.universal, partials, shared.candidates[c], next, stats)) {
+    if (!extend_partials<K>(shared.universal, partials, shared.candidate_labels[c], next,
+                            seen, stats)) {
       continue;
     }
     chosen.push_back(shared.candidates[c]);
-    dfs_branch(shared, c, chosen, next, out, stats);
+    dfs_branch<K>(shared, c, chosen, next, out, seen, stats);
     chosen.pop_back();
     if (shared.overflow.load(std::memory_order_relaxed)) return;
   }
@@ -138,12 +176,14 @@ void dfs_branch(DfsShared& shared, std::size_t min_candidate,
 /// maximality filter). With a pool, fans out over top-level candidate
 /// branches; branch outputs are concatenated in candidate order, which
 /// reproduces the serial DFS order exactly. Returns nullopt on cap overflow.
+template <class K>
 std::optional<std::vector<SetConfig>> enumerate_valid_configs(
     const Constraint& universal, const std::vector<SmallBitset>& candidates,
     std::uint64_t max_configurations, ThreadPool* pool, SearchBudget* budget,
     REStats& stats) {
-  DfsShared shared{universal, candidates, max_configurations, budget};
-  const std::vector<Configuration> root{Configuration{}};
+  const auto candidate_labels = label_lists(candidates);
+  DfsShared shared{universal, candidates, candidate_labels, max_configurations, budget};
+  const std::vector<typename K::Key> root{typename K::Key{}};
   std::vector<SetConfig> valid;
 
   if (universal.degree() == 0) {
@@ -153,13 +193,14 @@ std::optional<std::vector<SetConfig>> enumerate_valid_configs(
 
   if (pool == nullptr || candidates.size() < 2) {
     std::vector<SmallBitset> chosen;
-    dfs_branch(shared, 0, chosen, root, valid, stats);
+    typename K::Seen seen;
+    dfs_branch<K>(shared, 0, chosen, root, valid, seen, stats);
     if (shared.overflow.load()) return std::nullopt;
     return valid;
   }
 
-  // One branch per top-level candidate; each task owns its output slot and
-  // stats slot, so the merge below is deterministic.
+  // One branch per top-level candidate; each task owns its output slot,
+  // stats slot and dedup scratch, so the merge below is deterministic.
   std::vector<std::vector<SetConfig>> slots(candidates.size());
   std::vector<REStats> branch_stats(candidates.size());
   std::vector<std::function<void()>> tasks;
@@ -169,10 +210,13 @@ std::optional<std::vector<SetConfig>> enumerate_valid_configs(
       REStats& local = branch_stats[c];
       ++local.dfs_nodes;
       if (budget != nullptr && !budget->charge()) return;
-      std::vector<Configuration> next;
-      if (!extend_partials(universal, root, candidates[c], next, local)) return;
+      typename K::Seen seen;
+      std::vector<typename K::Key> next;
+      if (!extend_partials<K>(universal, root, candidate_labels[c], next, seen, local)) {
+        return;
+      }
       std::vector<SmallBitset> chosen{candidates[c]};
-      dfs_branch(shared, c, chosen, next, slots[c], local);
+      dfs_branch<K>(shared, c, chosen, next, slots[c], seen, local);
     });
   }
   pool->run_batch(std::move(tasks));
@@ -356,23 +400,19 @@ std::vector<std::vector<std::size_t>> seed_witnesses(
 /// Does the set-multiset `pick` (indices into `alphabet`) admit at least one
 /// choice inside `existential`? DFS with memoized extendability pruning; at
 /// full size extendability coincides with membership.
-bool admits_choice(const Constraint& existential, const std::vector<SmallBitset>& alphabet,
+template <class K>
+bool admits_choice(const Constraint& existential,
+                   const std::vector<std::vector<Label>>& alphabet_labels,
                    const std::vector<std::size_t>& pick) {
-  Configuration partial;
-  auto dfs = [&](auto&& self, std::size_t pos) -> bool {
+  auto dfs = [&](auto&& self, std::size_t pos, const typename K::Key& partial) -> bool {
     if (pos == pick.size()) return true;
-    for (const std::size_t l : alphabet[pick[pos]].indices()) {
-      Configuration next = partial.with_added(static_cast<Label>(l));
-      if (!existential.extendable(next)) continue;
-      Configuration saved = std::move(partial);
-      partial = std::move(next);
-      const bool found = self(self, pos + 1);
-      partial = std::move(saved);
-      if (found) return true;
+    for (const Label l : alphabet_labels[pick[pos]]) {
+      const typename K::Key next = K::add(partial, l);
+      if (existential.extendable(next) && self(self, pos + 1, next)) return true;
     }
     return false;
   };
-  return dfs(dfs, 0);
+  return dfs(dfs, 0, typename K::Key{});
 }
 
 /// Relaxed side: all multisets over the new alphabet with >= 1 choice in
@@ -395,6 +435,15 @@ Constraint build_relaxed(const Constraint& existential,
     witness_sets.push_back(std::move(sets));
   }
 
+  const bool packed = existential.packed_index_built();
+  auto alphabet_labels = label_lists(alphabet);
+  if (packed) {
+    // A packable constraint uses no label >= 16, so no choice through one
+    // lies inside it (and such a label has no packed unit).
+    for (auto& labels : alphabet_labels) {
+      std::erase_if(labels, [](Label l) { return l >= packed::kLabels; });
+    }
+  }
   std::vector<char> admits(picks.size(), 0);
   const auto scan = [&](std::size_t lo, std::size_t hi, REStats& local) {
     std::vector<SmallBitset> pick_sets(degree);
@@ -413,7 +462,8 @@ Constraint build_relaxed(const Constraint& existential,
       }
       if (!some) {
         ++local.relaxed_dfs_tests;
-        some = admits_choice(existential, alphabet, picks[i]);
+        some = packed ? admits_choice<PackedKeys>(existential, alphabet_labels, picks[i])
+                      : admits_choice<ConfigKeys>(existential, alphabet_labels, picks[i]);
       }
       admits[i] = some ? 1 : 0;
     }
@@ -455,6 +505,9 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
   const Constraint& universal = universal_is_black ? pi.black() : pi.white();
   const Constraint& existential = universal_is_black ? pi.white() : pi.black();
 
+  // The three stages tile the call: harden runs from here through the DFS
+  // (candidate sets included), dominate through the hardened constraint,
+  // relax through the relaxed one and the pool teardown.
   const auto t_total = Clock::now();
   REStats local;
 
@@ -516,28 +569,34 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
   // Hardened side. The extension index turns the per-prefix extendability
   // probe from a scan over all members into one hash lookup; it is built
   // before the fan-out so the parallel phase only ever reads it.
-  const auto t_harden = Clock::now();
   if (!universal.extension_index_built() && universal.build_extension_index()) {
     ++local.extension_index_builds;
   }
   local.extension_index_entries += universal.extension_index_size();
-  const auto valid = enumerate_valid_configs(universal, candidates,
-                                             options.max_configurations,
-                                             candidates.size() >= 8 ? pool() : nullptr,
-                                             budget, local);
+  ThreadPool* const harden_pool = candidates.size() >= 8 ? pool() : nullptr;
+  const auto valid =
+      universal.packed_index_built()
+          ? enumerate_valid_configs<PackedKeys>(universal, candidates,
+                                                options.max_configurations, harden_pool,
+                                                budget, local)
+          : enumerate_valid_configs<ConfigKeys>(universal, candidates,
+                                                options.max_configurations, harden_pool,
+                                                budget, local);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
   if (!valid) {
     if (options.stats) *options.stats += local;
     return std::nullopt;
   }
   local.configs_enumerated += valid->size();
-  local.harden_ms += ms_since(t_harden);
+  local.harden_ms += ms_since(t_total);
 
   const auto t_dominate = Clock::now();
   const std::vector<SetConfig> maximal =
       maximality_filter(*valid, valid->size() >= 64 ? pool() : nullptr, budget, local);
-  local.dominate_ms += ms_since(t_dominate);
-  if (budget != nullptr && budget->halted()) return exhausted_bail();
+  if (budget != nullptr && budget->halted()) {
+    local.dominate_ms += ms_since(t_dominate);
+    return exhausted_bail();
+  }
 
   // New alphabet: subsets appearing in at least one maximal configuration.
   std::unordered_set<SmallBitset> alphabet_set;
@@ -567,21 +626,23 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
     for (const SmallBitset s : config) labels.push_back(set_index(s));
     hardened.add(Configuration(std::move(labels)));
   }
+  local.dominate_ms += ms_since(t_dominate);
 
   // Relaxed side.
+  const auto t_relax = Clock::now();
   const std::uint64_t projected =
       multiset_count(alphabet.size(), existential.degree());
   if (projected > options.max_configurations) {
     if (options.stats) *options.stats += local;
     return std::nullopt;
   }
-  const auto t_relax = Clock::now();
   if (!existential.extension_index_built() && existential.build_extension_index()) {
     ++local.extension_index_builds;
   }
   local.extension_index_entries += existential.extension_index_size();
   Constraint relaxed = build_relaxed(existential, alphabet,
                                      projected >= 256 ? pool() : nullptr, budget, local);
+  pool_storage.reset();  // joins the workers
   local.relax_ms += ms_since(t_relax);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
 
@@ -617,6 +678,7 @@ REStats& REStats::operator+=(const REStats& other) {
   harden_ms += other.harden_ms;
   dominate_ms += other.dominate_ms;
   relax_ms += other.relax_ms;
+  reindex_ms += other.reindex_ms;
   total_ms += other.total_ms;
   return *this;
 }
@@ -628,7 +690,8 @@ std::string REStats::to_string() const {
       "threads=%zu | harden %.2f ms (dfs_nodes=%llu dedup=%llu extendable=%llu "
       "memo=%llu builds=%llu configs=%llu) | dominate %.2f ms (tests=%llu "
       "skipped=%llu) | relax %.2f ms (multisets=%llu witness=%llu dfs=%llu) | "
-      "exhausted=%llu | cache hit=%llu miss=%llu canon %.2f ms | total %.2f ms",
+      "reindex %.2f ms | exhausted=%llu | cache hit=%llu miss=%llu canon %.2f ms | "
+      "total %.2f ms",
       threads_used, harden_ms, static_cast<unsigned long long>(dfs_nodes),
       static_cast<unsigned long long>(partials_deduped),
       static_cast<unsigned long long>(extendable_calls),
@@ -639,7 +702,7 @@ std::string REStats::to_string() const {
       static_cast<unsigned long long>(domination_skipped), relax_ms,
       static_cast<unsigned long long>(relaxed_multisets),
       static_cast<unsigned long long>(relaxed_witness_hits),
-      static_cast<unsigned long long>(relaxed_dfs_tests),
+      static_cast<unsigned long long>(relaxed_dfs_tests), reindex_ms,
       static_cast<unsigned long long>(budget_exhausted),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), canonical_ms, total_ms);
@@ -654,42 +717,63 @@ std::optional<REStep> apply_Rbar(const Problem& pi, const REOptions& options) {
   return re_core(pi, /*universal_is_black=*/false, options);
 }
 
-std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options) {
-  if (options.cache != nullptr) {
-    const auto t_canon = Clock::now();
-    const CanonicalForm key = canonicalize(pi);
-    if (options.stats != nullptr) options.stats->canonical_ms += ms_since(t_canon);
-    if (auto cached = options.cache->lookup(key)) {
-      if (options.stats != nullptr) ++options.stats->cache_hits;
-      // The cached value is the canonical form of RE of this renaming
-      // class — a legal renaming of the true output. Only the derived name
-      // is restored; no search runs at all.
-      return Problem("RE(" + pi.name() + ")", cached->registry(),
-                     cached->white(), cached->black());
-    }
-    if (options.stats != nullptr) ++options.stats->cache_misses;
-    REOptions inner = options;
-    inner.cache = nullptr;
-    auto result = round_eliminate(pi, inner);
-    if (result) {
-      const auto t_store = Clock::now();
-      const CanonicalForm value = canonicalize(*result);
-      if (options.stats != nullptr) {
-        options.stats->canonical_ms += ms_since(t_store);
-      }
-      options.cache->insert(key, value.problem);
-    }
-    return result;
-  }
+namespace {
+
+/// RE without the cache: both half-steps, then the canonical reindexing of
+/// the survivors. `options.stats` must point at the caller's accumulator.
+std::optional<Problem> eliminate(const Problem& pi, const REOptions& options) {
   const auto half = apply_R(pi, options);
   if (!half) return std::nullopt;
   auto full = apply_Rbar(half->problem, options);
   if (!full) return std::nullopt;
+  const auto t_reindex = Clock::now();
   // Move the pieces out of the intermediate problem rather than deep-copying
   // them; the Constraint move also carries the memoized extension index.
   Problem out = drop_unused_labels(full->problem);
+  options.stats->reindex_ms += ms_since(t_reindex);
   return Problem("RE(" + pi.name() + ")", std::move(out.registry()),
                  std::move(out.white()), std::move(out.black()));
+}
+
+}  // namespace
+
+std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options) {
+  // Every stage lands in `local`; its total_ms is this whole call, so the
+  // named stages (canonical, harden, dominate, relax, reindex) add up to it
+  // up to the glue between them.
+  const auto t_total = Clock::now();
+  REStats local;
+  REOptions inner = options;
+  inner.stats = &local;
+  inner.cache = nullptr;
+  std::optional<Problem> result;
+  if (options.cache == nullptr) {
+    result = eliminate(pi, inner);
+  } else {
+    const auto t_canon = Clock::now();
+    const CanonicalForm key = canonicalize(pi);
+    local.canonical_ms += ms_since(t_canon);
+    if (auto cached = options.cache->lookup(key)) {
+      ++local.cache_hits;
+      // The cached value is the canonical form of RE of this renaming
+      // class — a legal renaming of the true output. Only the derived name
+      // is restored; no search runs at all.
+      result = Problem("RE(" + pi.name() + ")", cached->registry(), cached->white(),
+                       cached->black());
+    } else {
+      ++local.cache_misses;
+      result = eliminate(pi, inner);
+      if (result) {
+        const auto t_store = Clock::now();
+        const CanonicalForm value = canonicalize(*result);
+        local.canonical_ms += ms_since(t_store);
+        options.cache->insert(key, value.problem);
+      }
+    }
+  }
+  local.total_ms = ms_since(t_total);
+  if (options.stats != nullptr) *options.stats += local;
+  return result;
 }
 
 bool is_fixed_point(const Problem& pi, const REOptions& options) {

@@ -20,7 +20,10 @@
 //    canonical order, never racing on shared output.
 //  * `stats` — optional REStats accumulator; counters and per-stage wall
 //    times are *added* onto it (zero-initialize to measure one call, keep
-//    accumulating across calls to profile a whole sequence).
+//    accumulating across calls to profile a whole sequence). For
+//    round_eliminate, total_ms is the wall time of the whole call and the
+//    stages canonical_ms + harden_ms + dominate_ms + relax_ms + reindex_ms
+//    account for nearly all of it.
 //  * `max_configurations` / `max_alphabet` are unchanged from the serial
 //    engine: hard resource caps, exceeded ⇒ nullopt.
 #pragma once
@@ -67,6 +70,9 @@ struct REStats {
   double harden_ms = 0.0;
   double dominate_ms = 0.0;
   double relax_ms = 0.0;
+  double reindex_ms = 0.0;  ///< canonical reindexing of RE's surviving labels
+  /// Wall time of the whole call: one round_eliminate (cache probe, both
+  /// half-steps, reindexing) or one apply_R / apply_Rbar.
   double total_ms = 0.0;
 
   REStats& operator+=(const REStats& other);

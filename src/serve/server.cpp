@@ -350,13 +350,6 @@ void Server::submit_sweep_group(std::vector<AdmittedSweep>&& group) {
     submit_admitted_sweep(std::move(group.front()));
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(counter_mutex_);
-    ++counters_.sweep_batch_groups;
-    counters_.sweep_batch_requests += group.size();
-    counters_.sweep_batch_peak = std::max(
-        counters_.sweep_batch_peak, static_cast<std::uint64_t>(group.size()));
-  }
   pool_->submit([this, group = std::move(group)]() mutable {
     execute_sweep_group(std::move(group));
   });
@@ -568,6 +561,15 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
     members.push_back(SweepGroupMember{spec->lo, spec->hi});
   }
 
+  {
+    // Counted here, after memo replays and the lone-member fallback: a
+    // batch group is a set of members that really share one solve.
+    const std::lock_guard<std::mutex> lock(counter_mutex_);
+    ++counters_.sweep_batch_groups;
+    counters_.sweep_batch_requests += group.size();
+    counters_.sweep_batch_peak = std::max(
+        counters_.sweep_batch_peak, static_cast<std::uint64_t>(group.size()));
+  }
   LiftSweepOptions options;
   options.incremental = true;
   options.certify_cores = false;

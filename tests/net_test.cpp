@@ -620,6 +620,10 @@ TEST(NetBatcher, MemoizedSweepsInABatchReplayFromTheMemo) {
   EXPECT_EQ(verdict_token(m2), verdict_token(m1)) << m2;
   EXPECT_NE(m3.find("memo=miss"), std::string::npos) << m3;
   EXPECT_EQ(server.counters().sweep_memo_hits, 1u);
+  // m3 ran alone, so no batch group has shared a solve yet.
+  EXPECT_EQ(server.counters().sweep_batch_groups, 0u);
+  EXPECT_EQ(server.counters().sweep_batch_requests, 0u);
+  EXPECT_EQ(server.counters().sweep_batch_peak, 0u);
 
   // Two hits and two misses in one window: the misses still share a solve.
   EXPECT_TRUE(server.handle_line("req m4 " + sweep + "cycles:2..4"));
@@ -634,6 +638,10 @@ TEST(NetBatcher, MemoizedSweepsInABatchReplayFromTheMemo) {
   EXPECT_NE(sink.only_response("m6").find("batch=2"), std::string::npos);
   EXPECT_NE(sink.only_response("m7").find("batch=2"), std::string::npos);
   EXPECT_EQ(server.counters().sweep_memo_hits, 3u);
+  // Only m6 and m7 shared a solve: one group of two, not one of four.
+  EXPECT_EQ(server.counters().sweep_batch_groups, 1u);
+  EXPECT_EQ(server.counters().sweep_batch_requests, 2u);
+  EXPECT_EQ(server.counters().sweep_batch_peak, 2u);
 }
 
 TEST(NetBatcher, FullGroupDispatchesWithoutWaitingForTheWindow) {

@@ -41,6 +41,29 @@ TEST(Sequence, BrokenSequenceDetected) {
   EXPECT_FALSE(report.steps[0].relaxation_found);
 }
 
+TEST(Sequence, DeltaFiveMatchingChainWorkIsPinned) {
+  // The Δ'=5 Corollary 4.6 chain verified serially, cache off. These exact
+  // work counters are the ones the packed-multiset kernel must leave
+  // untouched: the encoding changes, the searches do not.
+  const auto problems =
+      matching_lower_bound_sequence(5, 0, 1, matching_sequence_length(5, 0, 1));
+  REStats stats;
+  REOptions options;
+  options.threads = 1;
+  options.stats = &stats;
+  const auto report = verify_lower_bound_sequence(problems, options);
+  ASSERT_TRUE(report.valid) << report.to_string();
+  ASSERT_EQ(report.steps.size(), 3u);
+  std::uint64_t relaxation_nodes = 0;
+  for (const SequenceStepReport& step : report.steps) {
+    relaxation_nodes += step.relaxation_nodes;
+  }
+  EXPECT_EQ(stats.dfs_nodes, 4758u);
+  EXPECT_EQ(stats.extendable_calls, 92289u);
+  EXPECT_EQ(stats.partials_deduped, 33302u);
+  EXPECT_EQ(relaxation_nodes, 21777u);
+}
+
 TEST(Sequence, TheoremB2Bound) {
   EXPECT_DOUBLE_EQ(theorem_b2_bound(5, 100), 10.0);  // 2k limited
   EXPECT_DOUBLE_EQ(theorem_b2_bound(100, 12), 4.0);  // girth limited

@@ -128,6 +128,11 @@ std::vector<ExitRow> exit_rows() {
       {"NoArgsIsUsage", "", 64},
       {"UnknownCommandIsUsage",
        "frobnicate " + problem("two_coloring.txt") + "cycle:4", 64},
+      // An unknown --flag is usage, never a silently ignored positional:
+      // a misspelt budget flag must not run an unbudgeted search.
+      {"UnknownFlagIsUsage",
+       "portfolio " + problem("two_coloring.txt") + "cycle:4 --frobnicate", 64},
+      {"MisspeltBudgetFlagIsUsage", sweep_cycles + " --max-node=1", 64},
       {"MissingProblemFileIsInputError",
        "portfolio " + problem("no_such_problem.txt") + "cycle:4", 1},
       {"BadInstanceSpecIsInputError",
