@@ -11,17 +11,13 @@
 //    It carries Π, (Δ, r), G's edge list, the CNF the claim was decided on
 //    (hash-bound to the emitting encoder), and a DRAT refutation.
 //
-// On disk the container is line-oriented text:
-//
-//   slocal-cert 1
-//   checksum <16 hex digits>
-//   <payload…>
-//
-// where the checksum is FNV-1a over every raw payload byte. load rejects
-// any header or checksum deviation before interpreting a single payload
-// token, so a corrupted file is always "malformed" (exit 2), never a
-// half-parsed certificate. Semantic judgments (is the witness valid? does
-// the proof check?) are src/cert/check.hpp's job, not load's.
+// On disk the container is a sealed file (src/formalism/serialize.hpp:
+// magic line "slocal-cert 1", whole-payload FNV-1a checksum, atomic save)
+// around line-oriented text. load rejects any envelope deviation before
+// interpreting a single payload token, so a corrupted file is always
+// "malformed" (exit 2), never a half-parsed certificate. Semantic judgments
+// (is the witness valid? does the proof check?) are src/cert/check.hpp's
+// job, not load's.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +75,12 @@ struct Certificate {
 std::uint64_t lift_cnf_hash(std::size_t num_vars,
                             const std::vector<std::vector<std::int32_t>>& clauses);
 
-/// Writes `cert` to `path` in the container format above. False on I/O
-/// failure (message in *error).
+/// Atomically replaces `path` with `cert` in the container format above.
+/// False on I/O failure (message in *error).
 bool save_certificate(const Certificate& cert, const std::string& path,
                       std::string* error);
 
-/// Reads and structurally validates a certificate: header, checksum, token
+/// Reads and structurally validates a certificate: the envelope, token
 /// grammar, and every range constraint (labels within alphabets, literals
 /// nonzero, exactly one witness per step, edge endpoints within the support,
 /// no trailing data). False = malformed/corrupt, with a structured message;

@@ -1,24 +1,13 @@
 // The "slocal-discover 1" frontier checkpoint — crash-safe persistence for
-// long discovery runs, in the mold of the RE cache's on-disk format.
-//
-//   slocal-discover 1
-//   checksum <16 hex digits>
-//   <payload…>
-//
-// The checksum is FNV-1a over every raw payload byte, so any single-byte
-// flip anywhere in the file — header, counters, problem rows — fails the
-// load before one payload token is interpreted (tests/fuzz_test.cpp flips
-// them all). The payload carries the search invariants a resumed run needs
-// to be outcome-equivalent to an uninterrupted one: the target, the
-// steering counters (expansions, nodes spent), the definitiveness flag, the
-// visited fingerprint set, and every frontier node with its score, insertion
+// long discovery runs. It is a sealed file (src/formalism/serialize.hpp: magic
+// line, whole-payload FNV-1a checksum, atomic save), so a single-byte flip
+// anywhere fails the load and a SIGKILL mid-save never leaves a torn file.
+// The payload carries the search invariants a resumed run needs to be
+// outcome-equivalent to an uninterrupted one: the target, the steering
+// counters (expansions, nodes spent), the definitiveness flag, the visited
+// fingerprint set, and every frontier node with its score, insertion
 // sequence, chain problems (structure only — canonical registries are
 // synthetic), and per-element fingerprints.
-//
-// Saves go through write_file_atomic (write-temp + fsync + rename): a
-// process SIGKILLed mid-save leaves the previous complete checkpoint or the
-// new complete one, never a torn file (the serve_test soak kills children
-// at random write offsets to pin this for every persisted format).
 #pragma once
 
 #include <cstdint>
@@ -58,9 +47,8 @@ std::string serialize_frontier_checkpoint(const FrontierCheckpoint& cp);
 bool save_frontier_checkpoint(const FrontierCheckpoint& cp, const std::string& path,
                               std::string* error);
 
-/// Exhaustive validation: header, whole-payload checksum, token grammar,
-/// counts, label ranges, sortedness, and per-element fingerprint
-/// consistency. Rejects the whole file on any mismatch (*out untouched) —
+/// Exhaustive validation: the envelope, token grammar, counts, label ranges,
+/// sortedness, and per-element fingerprint consistency. Rejects the whole file on any mismatch (*out untouched) —
 /// a damaged checkpoint can never seed a wrong search state.
 bool load_frontier_checkpoint(const std::string& path, FrontierCheckpoint* out,
                               std::string* error);

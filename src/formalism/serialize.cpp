@@ -1,9 +1,15 @@
 #include "src/formalism/serialize.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 #include <vector>
+
+#include "src/util/atomic_file.hpp"
 
 namespace slocal {
 
@@ -12,6 +18,35 @@ namespace {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+/// Parses exactly 16 lowercase hex digits.
+bool parse_hex16(std::string_view text, std::uint64_t* out) {
+  if (text.size() != 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    v <<= 4;
+    if (c >= '0' && c <= '9') {
+      v |= static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      v |= static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+  }
+  *out = v;
+  return true;
+}
+
+constexpr std::string_view kChecksumTag = "checksum ";
+
+/// Splits off the line starting at *pos (without its '\n') and advances
+/// *pos past it. A last line without '\n' runs to the end of `text`.
+std::string_view next_line(std::string_view text, std::size_t* pos) {
+  const std::size_t end = std::min(text.find('\n', *pos), text.size());
+  const std::string_view line = text.substr(*pos, end - *pos);
+  *pos = std::min(end + 1, text.size());
+  return line;
 }
 
 }  // namespace
@@ -23,6 +58,70 @@ std::uint64_t fnv1a_bytes(std::string_view data) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+bool read_hex16(std::istream& in, std::uint64_t* out) {
+  std::string token;
+  return static_cast<bool>(in >> token) && parse_hex16(token, out);
+}
+
+std::string seal(std::string_view magic, std::string_view payload) {
+  std::string sealed(magic);
+  sealed.append("\n").append(kChecksumTag).append(hex16(fnv1a_bytes(payload)));
+  sealed.append("\n").append(payload);
+  return sealed;
+}
+
+bool save_sealed(const std::string& path, std::string_view magic,
+                 std::string_view payload, const std::string& context,
+                 std::string* error) {
+  std::string io_error;
+  if (!write_file_atomic(path, seal(magic, payload), &io_error)) {
+    return fail(error, context + ": " + io_error);
+  }
+  return true;
+}
+
+bool load_sealed(const std::string& path, std::string_view magic,
+                 const std::string& context, std::string* payload,
+                 std::string* error) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return fail(error, context + ": cannot open '" + path + "'");
+  std::ostringstream raw;
+  raw << file.rdbuf();
+  const std::string text = raw.str();
+
+  std::size_t pos = 0;
+  const std::string_view line = next_line(text, &pos);
+  if (line != magic) {
+    // "<family> <version>": the same family under another version is a
+    // format this build does not read, not a foreign file.
+    const std::string_view family = magic.substr(0, magic.rfind(' ') + 1);
+    return fail(error, line.substr(0, family.size()) == family
+                           ? context + ": unsupported version ('" +
+                                 std::string(line) + "')"
+                           : context + ": '" + path + "' is not a " +
+                                 std::string(family.substr(0, family.size() - 1)) +
+                                 " file");
+  }
+  const std::string_view checksum_line = next_line(text, &pos);
+  std::uint64_t stored = 0;
+  if (checksum_line.substr(0, kChecksumTag.size()) != kChecksumTag ||
+      !parse_hex16(checksum_line.substr(kChecksumTag.size()), &stored)) {
+    return fail(error, context + ": malformed checksum line");
+  }
+  const std::string_view body = std::string_view(text).substr(pos);
+  if (fnv1a_bytes(body) != stored) {
+    return fail(error, context + ": payload checksum mismatch (corrupt file)");
+  }
+  *payload = std::string(body);
+  return true;
 }
 
 void write_problem(std::ostream& out, const Problem& p) {

@@ -55,31 +55,30 @@ class RECache {
   RECacheCounters counters() const;
   std::size_t size() const;
 
-  /// Disk persistence: a line-oriented text format ("slocal-re-cache 2")
-  /// carrying a whole-payload checksum, then each entry's fingerprint, a
-  /// per-entry content checksum, and both problems' constraint structure
-  /// (canonical registries are synthetic, so only structure is stored).
-  /// `load` validates exhaustively — header, raw-byte payload checksum,
-  /// counts, label ranges, per-entry checksum, and that the stored input
-  /// really canonicalizes to its claimed fingerprint — and rejects the whole
-  /// file (leaving the cache unchanged) on any mismatch, so a corrupt cache
-  /// can never produce a wrong verdict. Every single byte flip anywhere in
-  /// the file is detected (tests/fuzz_test.cpp flips them all). `save` is
-  /// atomic — write-temp + fsync + rename, never truncate-in-place — so a
-  /// process killed mid-save can leave the old complete file or the new
-  /// complete file on disk, never a torn one (tests/serve_test.cpp kills a
-  /// saving child at random offsets to pin this). Returns false with
-  /// `*error` set on failure.
+  /// Disk persistence: a sealed "slocal-re-cache 2" file (the envelope —
+  /// magic line, whole-payload checksum, atomic save — is described in
+  /// src/formalism/serialize.hpp). The payload carries each entry's
+  /// fingerprint, a per-entry content checksum, and both problems' constraint
+  /// structure (canonical registries are synthetic, so only structure is
+  /// stored). `load` validates exhaustively — the envelope, counts, label
+  /// ranges, per-entry checksum, and that the stored input really
+  /// canonicalizes to its claimed fingerprint — and rejects the whole file
+  /// (leaving the cache unchanged) on any mismatch, so a corrupt cache can
+  /// never produce a wrong verdict. Returns false with `*error` set on
+  /// failure.
   bool save(const std::string& path, std::string* error = nullptr) const;
   bool load(const std::string& path, std::string* error = nullptr);
 
-  /// The exact byte stream `save` persists (header, whole-payload checksum,
-  /// entries). Exposed so checkpointing layers can control the write
-  /// themselves (or deliberately tear it in fault-injection tests) while
-  /// staying bit-compatible with `load`.
+  /// The exact byte stream `save` persists (the sealed payload). Exposed so
+  /// checkpointing layers can control the write themselves (or deliberately
+  /// tear it in fault-injection tests) while staying bit-compatible with
+  /// `load`.
   std::string serialize() const;
 
  private:
+  /// The entry count and entries that serialize() seals.
+  std::string payload() const;
+
   struct Entry {
     Problem input;   // canonical form of the RE input
     Problem result;  // canonical form of the RE output

@@ -764,10 +764,16 @@ std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& optio
       ++local.cache_misses;
       result = eliminate(pi, inner);
       if (result) {
-        const auto t_store = Clock::now();
-        const CanonicalForm value = canonicalize(*result);
-        local.canonical_ms += ms_since(t_store);
-        options.cache->insert(key, value.problem);
+        // drop_unused_labels already reindexed the result canonically, so
+        // its constraints are the canonical form's: store them under the
+        // synthetic registry a canonical form carries (what a hit returns)
+        // instead of canonicalizing a second time.
+        LabelRegistry synthetic;
+        for (std::size_t c = 0; c < result->alphabet_size(); ++c) {
+          synthetic.intern(std::to_string(c));
+        }
+        options.cache->insert(key, Problem(result->name(), std::move(synthetic),
+                                           result->white(), result->black()));
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "src/discover/discover.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
+#include "src/formalism/serialize.hpp"
 #include "src/lift/sweep.hpp"
 #include "src/re/sequence.hpp"
 
@@ -66,11 +67,8 @@ std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
 /// or label names it arrived under.
 std::string sweep_memo_prefix(const Problem& problem, std::size_t big_delta,
                               std::size_t big_r) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%016llx/%zu/%zu/",
-                static_cast<unsigned long long>(canonicalize(problem).fingerprint),
-                big_delta, big_r);
-  return buf;
+  return hex16(canonicalize(problem).fingerprint) + '/' +
+         std::to_string(big_delta) + '/' + std::to_string(big_r) + '/';
 }
 
 /// Comma-joins step verdicts the way every sweep response spells them.
@@ -324,13 +322,9 @@ std::string Server::sweep_group_key(const Request& request) const {
   const auto spec = parse_sweep_family_spec(request.family, request.big_delta,
                                             request.big_r, &error);
   if (!spec) return {};
-  char buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(buf, sizeof(buf), "%016llx/%zu/%zu/%s",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                request.big_delta, request.big_r,
-                spec->cycles ? "cycles" : "gadgets");
-  return buf;
+  return hex16(canonicalize(*problem).fingerprint) + '/' +
+         std::to_string(request.big_delta) + '/' + std::to_string(request.big_r) +
+         '/' + (spec->cycles ? "cycles" : "gadgets");
 }
 
 void Server::submit_admitted_sweep(AdmittedSweep&& admitted) {
@@ -803,15 +797,13 @@ Response Server::run_discover(const Request& request, SearchBudget& budget) {
   switch (result.status) {
     case discover::DiscoverStatus::kFound: {
       const discover::Discovery& find = result.found.front();
-      char body[192];
-      std::snprintf(body, sizeof(body),
-                    "status=found steps=%zu pumped=%d fp=%016llx "
-                    "expansions=%llu cache_hits=%llu cache_misses=%llu",
-                    find.chain.size() - 1, find.pumped ? 1 : 0,
-                    static_cast<unsigned long long>(find.fingerprints.front()),
-                    static_cast<unsigned long long>(result.stats.expansions),
-                    static_cast<unsigned long long>(result.stats.cache_hits),
-                    static_cast<unsigned long long>(result.stats.cache_misses));
+      const std::string body =
+          "status=found steps=" + std::to_string(find.chain.size() - 1) +
+          " pumped=" + (find.pumped ? "1" : "0") +
+          " fp=" + hex16(find.fingerprints.front()) +
+          " expansions=" + std::to_string(result.stats.expansions) +
+          " cache_hits=" + std::to_string(result.stats.cache_hits) +
+          " cache_misses=" + std::to_string(result.stats.cache_misses);
       return make_ok(request.id, body, consumed);
     }
     case discover::DiscoverStatus::kNone: {

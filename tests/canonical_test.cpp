@@ -227,6 +227,11 @@ TEST(Canonical, DropUnusedLabelsCommutesWithRenaming) {
     ASSERT_TRUE(same_constraints(dropped_direct, dropped_renamed))
         << "seed " << seed;
     ASSERT_FALSE(dropped_direct.registry().find("junk").has_value());
+    // The reindexing is the canonical one: round_eliminate stores
+    // drop_unused_labels' constraints in the RE cache as the canonical form
+    // without canonicalizing again.
+    ASSERT_TRUE(same_constraints(canonicalize(dropped_direct).problem, dropped_direct))
+        << "seed " << seed;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "src/discover/discover.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
+#include "src/formalism/serialize.hpp"
 #include "src/graph/generators.hpp"
 #include "src/problems/classic.hpp"
 #include "src/problems/matching_family.hpp"
@@ -229,6 +230,29 @@ TEST(Fuzz, ReCacheRejectsEveryByteFlip) {
   EXPECT_TRUE(pristine.load(path, &error)) << error;
 }
 
+TEST(Fuzz, ReCacheRejectsHugeEntryCountInsideValidChecksum) {
+  // The checksum binds the bytes, not their plausibility: a sealed file can
+  // claim any entry count. It must fail the load with an error — never drive
+  // an allocation that aborts the process — and leave the cache as it was.
+  const auto p = parse_problem("two_coloring", "A^2\nB^2", "A B");
+  ASSERT_TRUE(p.has_value());
+  RECache cache;
+  REOptions options;
+  options.cache = &cache;
+  ASSERT_TRUE(verify_lower_bound_sequence(std::vector<Problem>(3, *p), options).valid);
+  const std::string before = cache.serialize();
+
+  const std::string path = fuzz_temp("fuzz_re_cache_huge_count.txt");
+  for (const char* count : {"999999999999999999", "18446744073709551615", "-1"}) {
+    std::ofstream(path, std::ios::trunc | std::ios::binary)
+        << seal("slocal-re-cache 2", std::string("entries ") + count + "\n");
+    std::string error;
+    EXPECT_FALSE(cache.load(path, &error)) << count;
+    EXPECT_FALSE(error.empty()) << count;
+    EXPECT_EQ(cache.serialize(), before) << count;
+  }
+}
+
 TEST(Fuzz, SequenceCertificateRejectsEveryByteFlip) {
   const auto p = parse_problem("two_coloring", "A^2\nB^2", "A B");
   ASSERT_TRUE(p.has_value());
@@ -308,6 +332,44 @@ TEST(Fuzz, DiscoverCheckpointRejectsEveryByteFlip) {
       EXPECT_EQ(canonicalize(node.chain[i]).fingerprint, node.fingerprints[i]);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// On-disk compatibility: tests/data holds one file of each sealed format as
+// the writers emitted them before the formats shared one envelope module.
+// Each must load, and where the writer is deterministic, re-serializing the
+// loaded value must reproduce the file byte for byte.
+// ---------------------------------------------------------------------------
+
+std::string test_data(const char* name) {
+  return std::string(SLOCAL_TEST_DATA_DIR "/") + name;
+}
+
+TEST(OnDiskFormat, CommittedFilesLoadAndReserializeByteForByte) {
+  std::string error;
+  for (const char* name : {"seq_two_coloring.cert", "lift_c3.cert"}) {
+    const std::string path = test_data(name);
+    cert::Certificate loaded;
+    ASSERT_TRUE(cert::load_certificate(path, &loaded, &error)) << name << ": " << error;
+    EXPECT_EQ(cert::check_certificate(loaded).status, cert::CertStatus::kValid)
+        << name;
+    const std::string resaved = fuzz_temp("resaved.cert");
+    ASSERT_TRUE(cert::save_certificate(loaded, resaved, &error)) << error;
+    EXPECT_EQ(slurp(resaved), slurp(path)) << name;
+  }
+
+  const std::string cache_path = test_data("re_cache_two_coloring.txt");
+  RECache cache;
+  ASSERT_TRUE(cache.load(cache_path, &error)) << error;
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.serialize(), slurp(cache_path));
+
+  const std::string checkpoint_path = test_data("frontier_matching_3.ckpt");
+  discover::FrontierCheckpoint checkpoint;
+  ASSERT_TRUE(discover::load_frontier_checkpoint(checkpoint_path, &checkpoint, &error))
+      << error;
+  EXPECT_FALSE(checkpoint.frontier.empty());
+  EXPECT_EQ(discover::serialize_frontier_checkpoint(checkpoint), slurp(checkpoint_path));
 }
 
 TEST(Fuzz, CnfEncoderModelsDecodeToSemanticMaximalMatchings) {

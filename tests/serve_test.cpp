@@ -8,8 +8,9 @@
 //  * budgets: exhausted responses carry the request's consumption counters;
 //    injected exhaustion and watchdog cancels never flip a verdict;
 //  * checkpointing: a torn checkpoint is never served — recovery falls back
-//    to the previous good generation; RECache::save itself survives
-//    SIGKILL at arbitrary offsets (atomic rename, pinned here);
+//    to the previous good generation; every sealed-file writer (RECache,
+//    discovery checkpoints, certificates) survives SIGKILL at arbitrary
+//    offsets (atomic rename, pinned here);
 //  * the binary: ready banner, clean EOF shutdown, SIGTERM flushes the
 //    checkpoint and exits 0; slocal_tool exits 3 on SIGINT with the cache
 //    intact.
@@ -38,6 +39,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cert/emit.hpp"
+#include "src/cert/format.hpp"
 #include "src/discover/checkpoint.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
@@ -781,6 +784,7 @@ TEST(RECacheAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
+    std::filesystem::remove(path + ".tmp." + std::to_string(pid), ec);
     if (std::filesystem::exists(path, ec)) {
       RECache loaded;
       std::string error;
@@ -789,7 +793,6 @@ TEST(RECacheAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
     }
   }
   std::filesystem::remove(path, ec);
-  std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
 }
 
 TEST(DiscoverCheckpointAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
@@ -831,6 +834,7 @@ TEST(DiscoverCheckpointAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
+    std::filesystem::remove(path + ".tmp." + std::to_string(pid), ec);
     if (std::filesystem::exists(path, ec)) {
       discover::FrontierCheckpoint loaded;
       std::string error;
@@ -841,7 +845,45 @@ TEST(DiscoverCheckpointAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
     }
   }
   std::filesystem::remove(path, ec);
-  std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
+}
+
+TEST(CertificateAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
+  // Same contract for "slocal-cert 1": a certificate that `cert_check`
+  // re-checks must never be observed half-written, whenever the emitting
+  // process dies. A truncate-in-place writer leaves an empty or partial file
+  // whenever the kill lands between the truncate and the last write; more
+  // offsets than above because a small certificate's torn window is short.
+  const std::string path = temp_path("kill_cert");
+  const auto pi = parse_problem("two_coloring", "A^2\nB^2", "A B");
+  ASSERT_TRUE(pi.has_value());
+  const auto cert = cert::make_sequence_certificate(std::vector<Problem>(4, *pi));
+  ASSERT_TRUE(cert.has_value());
+
+  std::error_code ec;
+  for (useconds_t delay_us = 100; delay_us <= 6400; delay_us += 100) {
+    std::filesystem::remove(path, ec);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (;;) {
+        std::string error;
+        if (!cert::save_certificate(*cert, path, &error)) _exit(2);
+      }
+    }
+    ::usleep(delay_us);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    std::filesystem::remove(path + ".tmp." + std::to_string(pid), ec);
+    if (std::filesystem::exists(path, ec)) {
+      cert::Certificate loaded;
+      std::string error;
+      EXPECT_TRUE(cert::load_certificate(path, &loaded, &error))
+          << "torn certificate after SIGKILL at " << delay_us << "us: " << error;
+    }
+  }
+  std::filesystem::remove(path, ec);
 }
 
 // ------------------------------------------------------------- subprocess

@@ -53,6 +53,10 @@ std::string problem(const char* name) {
   return std::string("'") + SLOCAL_PROBLEM_DIR + "/" + name + "' ";
 }
 
+std::string test_data(const char* name) {
+  return std::string("'") + SLOCAL_TEST_DATA_DIR + "/" + name + "'";
+}
+
 // ------------------------------------------------------ exit-code contract
 //
 // The whole exit-code contract as one table. Every row is one pinned fact:
@@ -111,6 +115,12 @@ std::vector<ExitRow> exit_rows() {
        2},
       {"SequenceNeedsTwoProblems", "sequence " + problem("two_coloring.txt"),
        1},
+      // A cache whose checksum is valid but whose entry count is absurd
+      // fails closed like any corrupt cache (exit 2), never aborts.
+      {"SequenceRejectsHugeCacheEntryCount",
+       "sequence " + problem("two_coloring.txt") + "--repeat=2 --re-cache=" +
+           test_data("re_cache_huge_entry_count.txt"),
+       2},
       // discover: 0 = chain found, 1 = definitive none, 3 = budget
       // exhausted before an answer, 64 = usage. The found row rediscovers
       // the two_coloring pump; the none row asks the dead-end singleton
