@@ -29,7 +29,6 @@
 #include "src/formalism/relaxation.hpp"
 #include "src/graph/generators.hpp"
 #include "src/lift/sweep.hpp"
-#include "src/net/batcher.hpp"
 #include "src/net/client.hpp"
 #include "src/net/tcp_server.hpp"
 #include "src/problems/classic.hpp"
@@ -39,7 +38,6 @@
 #include "src/re/round_elimination.hpp"
 #include "src/re/sequence.hpp"
 #include "src/serve/server.hpp"
-#include "src/solver/portfolio.hpp"
 
 namespace slocal {
 namespace {
@@ -102,21 +100,12 @@ struct BudgetDemo {
   double wall_ms = 0.0;
 };
 
-/// E2e — the racing portfolio on a concrete labeling instance.
-struct PortfolioDemo {
-  std::string verdict;
-  std::string winner;
-  std::uint64_t nodes = 0;
-  std::uint64_t conflicts = 0;
-  double wall_ms = 0.0;
-};
-
 /// E2f — the incremental lift sweep vs the from-scratch baseline on the E3
-/// workload (lift_{3,1}(MM_3) over nested gadget supports). The gated
+/// workload (lift_{3,3}(MM_3) over nested gadget supports). The gated
 /// invariant is verdicts_match; the tracked payoff is clauses/wall-time
 /// saved by assumption-guarded reuse.
 struct SweepDemo {
-  std::size_t big_delta = 3, big_r = 1;
+  std::size_t big_delta = 3, big_r = 3;
   std::size_t supports = 0;
   bool verdicts_match = false;
   std::size_t incremental_clauses = 0, scratch_clauses = 0;
@@ -184,20 +173,13 @@ struct ServeDemo {
   std::uint64_t warm_cache_hits = 0;
   double requests_per_sec = 0.0;
   double wall_ms = 0.0;
-  // Socket phase (schema v9): the same sweep workload once per-request
-  // through a plain server (the unbatched reference) and once over N
-  // concurrent loopback connections through TcpServer + SweepBatcher. The
-  // gated invariants are socket_verdicts_match (socket responses reproduce
-  // the reference verdicts token-for-token), socket_batch_groups >= 1, and
-  // socket_batch_peak >= 2 (the dispatcher really coalesced concurrent
-  // sweeps); throughput is reported, never gated.
+  // Socket phase: the same sweep workload once through a plain in-process
+  // server (the reference) and once over N concurrent loopback connections
+  // through TcpServer. The gated invariant is socket_verdicts_match (socket
+  // responses reproduce the reference verdicts token-for-token);
+  // throughput is reported, never gated.
   std::size_t socket_connections = 0;
   std::size_t socket_requests = 0;
-  std::uint64_t socket_batch_groups = 0;
-  std::uint64_t socket_batched_requests = 0;
-  std::uint64_t socket_batch_peak = 0;
-  std::uint64_t socket_single_dispatch = 0;
-  std::uint64_t unbatched_dispatches = 0;  // reference run, one solve per sweep
   bool socket_verdicts_match = false;
   double socket_requests_per_sec = 0.0;
   double socket_wall_ms = 0.0;
@@ -231,7 +213,7 @@ struct DiscoverDemo {
 
 void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                 double table_wall_ms, double serial_table_wall_ms,
-                const BudgetDemo& budget_demo, const PortfolioDemo& portfolio_demo,
+                const BudgetDemo& budget_demo,
                 const SweepDemo& sweep_demo, const CacheDemo& cache_demo,
                 const CertDemo& cert_demo,
                 const ServeDemo& serve_demo, const DiscoverDemo& discover_demo) {
@@ -243,7 +225,7 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_re\",\n"
-               "  \"schema_version\": 11,\n"
+               "  \"schema_version\": 12,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"e2_table_wall_ms\": %.3f,\n"
                "  \"e2_table_serial_wall_ms\": %.3f,\n"
@@ -284,18 +266,6 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                budget_demo.exhausted ? "true" : "false",
                static_cast<unsigned long long>(budget_demo.dfs_nodes_at_exhaustion),
                budget_demo.wall_ms);
-  std::fprintf(f,
-               "  \"portfolio_demo\": {\n"
-               "    \"verdict\": \"%s\",\n"
-               "    \"winner\": \"%s\",\n"
-               "    \"nodes\": %llu,\n"
-               "    \"conflicts\": %llu,\n"
-               "    \"wall_ms\": %.3f\n"
-               "  },\n",
-               portfolio_demo.verdict.c_str(), portfolio_demo.winner.c_str(),
-               static_cast<unsigned long long>(portfolio_demo.nodes),
-               static_cast<unsigned long long>(portfolio_demo.conflicts),
-               portfolio_demo.wall_ms);
   std::fprintf(f,
                "  \"incremental_sweep_demo\": {\n"
                "    \"big_delta\": %zu, \"big_r\": %zu,\n"
@@ -380,11 +350,6 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                "    \"socket\": {\n"
                "      \"connections\": %zu,\n"
                "      \"requests\": %zu,\n"
-               "      \"batch_groups\": %llu,\n"
-               "      \"batched_requests\": %llu,\n"
-               "      \"batch_peak\": %llu,\n"
-               "      \"single_dispatch\": %llu,\n"
-               "      \"unbatched_dispatches\": %llu,\n"
                "      \"verdicts_match\": %s,\n"
                "      \"requests_per_sec\": %.1f,\n"
                "      \"wall_ms\": %.3f\n"
@@ -400,11 +365,6 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                static_cast<unsigned long long>(serve_demo.warm_cache_hits),
                serve_demo.requests_per_sec, serve_demo.wall_ms,
                serve_demo.socket_connections, serve_demo.socket_requests,
-               static_cast<unsigned long long>(serve_demo.socket_batch_groups),
-               static_cast<unsigned long long>(serve_demo.socket_batched_requests),
-               static_cast<unsigned long long>(serve_demo.socket_batch_peak),
-               static_cast<unsigned long long>(serve_demo.socket_single_dispatch),
-               static_cast<unsigned long long>(serve_demo.unbatched_dispatches),
                serve_demo.socket_verdicts_match ? "true" : "false",
                serve_demo.socket_requests_per_sec, serve_demo.socket_wall_ms);
   std::fprintf(f, "  \"discover_demo\": {\n");
@@ -563,26 +523,6 @@ void print_table() {
         budget_demo.exhausted ? "exhausted" : "COMPLETED (cap too high?)",
         static_cast<unsigned long long>(budget_demo.dfs_nodes_at_exhaustion),
         budget_demo.wall_ms);
-  }
-
-  // E2e: the racing portfolio on a concrete labeling instance.
-  PortfolioDemo portfolio_demo;
-  {
-    const Problem pi = make_matching_problem(3, 0, 1);
-    const BipartiteGraph g = make_complete_bipartite(3, 3);
-    const PortfolioResult result = solve_labeling_portfolio(g, pi);
-    portfolio_demo.verdict = to_string(result.verdict);
-    portfolio_demo.winner = result.winner;
-    portfolio_demo.nodes = result.nodes;
-    portfolio_demo.conflicts = result.conflicts;
-    portfolio_demo.wall_ms = result.wall_ms;
-    std::printf(
-        "E2e portfolio, matching Δ=3 on K_{3,3}: %s (winner: %s) "
-        "[nodes=%llu conflicts=%llu wall=%.2f ms]\n\n",
-        portfolio_demo.verdict.c_str(), portfolio_demo.winner.c_str(),
-        static_cast<unsigned long long>(portfolio_demo.nodes),
-        static_cast<unsigned long long>(portfolio_demo.conflicts),
-        portfolio_demo.wall_ms);
   }
 
   // E2f: incremental lift sweep vs from-scratch baseline on the E3 workload.
@@ -925,13 +865,11 @@ void print_table() {
         static_cast<unsigned long long>(serve_demo.warm_cache_hits),
         serve_demo.final_checkpoint_valid ? "valid" : "TORN");
 
-    // Socket phase: the same sweep workload, batched vs unbatched. Eight
-    // clients ask for overlapping cycle ranges on the same problem — same
-    // canonical fingerprint, same (Δ, r), same family kind — so the batcher
-    // must fold all of them into one sweep-group dispatch. The reference run
-    // pushes the identical requests through a plain server one at a time
-    // (8 single dispatches); the socket run must reproduce its verdicts
-    // exactly despite answering them from one shared encoding.
+    // Socket phase: the same sweep workload in-process and over sockets.
+    // Eight clients ask for overlapping cycle ranges on the same problem at
+    // once; the reference run pushes the identical requests through a plain
+    // in-process server, and the socket run must reproduce its verdicts
+    // exactly.
     constexpr std::size_t kSocketClients = 8;
     std::vector<std::string> socket_requests;
     for (std::size_t i = 0; i < kSocketClients; ++i) {
@@ -957,8 +895,6 @@ void print_table() {
         server.handle_line(request);
       }
       server.drain();
-      // No batcher here, so every ok sweep was one full solver dispatch.
-      serve_demo.unbatched_dispatches = server.counters().ok;
     }
 
     std::map<std::string, std::string> verdicts_socket;
@@ -967,10 +903,6 @@ void print_table() {
       options.workers = 2;
       options.queue_capacity = 2 * kSocketClients;
       serve::Server server(options);
-      net::SweepBatcherOptions batch_options;
-      batch_options.window_ms = 250;  // every client sends well inside this
-      net::SweepBatcher batcher(server, batch_options);
-      batcher.attach();
       net::TcpServerOptions tcp_options;
       net::TcpServer tcp(server, tcp_options);
       std::string error;
@@ -1004,13 +936,8 @@ void print_table() {
                 .count();
         tcp.stop();
         runner.join();
-        const serve::ServeCounters counters = server.counters();
         serve_demo.socket_connections = kSocketClients;
         serve_demo.socket_requests = socket_requests.size();
-        serve_demo.socket_batch_groups = counters.sweep_batch_groups;
-        serve_demo.socket_batched_requests = counters.sweep_batch_requests;
-        serve_demo.socket_batch_peak = counters.sweep_batch_peak;
-        serve_demo.socket_single_dispatch = counters.sweep_single_dispatch;
         serve_demo.socket_requests_per_sec =
             serve_demo.socket_wall_ms > 0.0
                 ? static_cast<double>(serve_demo.socket_requests) /
@@ -1021,15 +948,10 @@ void print_table() {
     serve_demo.socket_verdicts_match =
         !verdicts_plain.empty() && verdicts_plain == verdicts_socket;
     std::printf(
-        "E2j socket, %zu clients x 1 sweep @ %.0f req/s: batch groups=%llu "
-        "batched=%llu peak=%llu single=%llu (unbatched reference: %llu "
-        "dispatches) | verdicts %s\n\n",
+        "E2j socket, %zu clients x 1 sweep @ %.0f req/s in %.1f ms | verdicts "
+        "%s\n\n",
         serve_demo.socket_connections, serve_demo.socket_requests_per_sec,
-        static_cast<unsigned long long>(serve_demo.socket_batch_groups),
-        static_cast<unsigned long long>(serve_demo.socket_batched_requests),
-        static_cast<unsigned long long>(serve_demo.socket_batch_peak),
-        static_cast<unsigned long long>(serve_demo.socket_single_dispatch),
-        static_cast<unsigned long long>(serve_demo.unbatched_dispatches),
+        serve_demo.socket_wall_ms,
         serve_demo.socket_verdicts_match ? "match" : "DIVERGE");
   }
 
@@ -1129,8 +1051,7 @@ void print_table() {
   }
 
   write_json(rows, totals, table_wall_ms, serial_table_wall_ms, budget_demo,
-             portfolio_demo, sweep_demo, cache_demo, cert_demo,
-             serve_demo, discover_demo);
+             sweep_demo, cache_demo, cert_demo, serve_demo, discover_demo);
 }
 
 void BM_re_matching(benchmark::State& state) {

@@ -20,7 +20,7 @@
 //                [--max-timeout-ms=N] [--retry-after-ms=N]
 //                [--checkpoint=PATH] [--checkpoint-every=N]
 //                [--fault-plan=SPEC] [--listen=PORT] [--max-connections=N]
-//                [--idle-timeout-ms=N] [--batch-window-ms=N]
+//                [--idle-timeout-ms=N]
 //
 // --fault-plan injects deterministic faults for testing (see
 // src/serve/fault_plan.hpp): fail-checkpoint=<n>[/<p>],
@@ -29,10 +29,11 @@
 //
 // --listen=PORT switches from the stdin/stdout pipe to a localhost TCP
 // listener (src/net/): many concurrent connections, per-connection
-// buffering, idle timeouts, connection-cap shedding, and the batching
-// sweep dispatcher. PORT 0 binds an ephemeral port; the chosen port is
-// announced as `listening port=N` on stdout. Without --listen the stdin
-// loop below is byte-identical to previous releases.
+// buffering, idle timeouts, and connection-cap shedding; every admitted
+// request goes straight to the worker pool, as in stdin mode. PORT 0 binds
+// an ephemeral port; the chosen port is announced as `listening port=N` on
+// stdout. Without --listen the stdin loop below is byte-identical to
+// previous releases.
 #include <errno.h>
 #include <signal.h>
 #include <unistd.h>
@@ -43,15 +44,12 @@
 #include <cstring>
 #include <string>
 
-#include "src/net/batcher.hpp"
 #include "src/net/event_loop.hpp"
 #include "src/net/tcp_server.hpp"
 #include "src/serve/server.hpp"
 
 namespace {
 
-using slocal::net::SweepBatcher;
-using slocal::net::SweepBatcherOptions;
 using slocal::net::TcpServer;
 using slocal::net::TcpServerOptions;
 using slocal::serve::Server;
@@ -110,8 +108,6 @@ void print_usage(std::FILE* out) {
       "(default 64; excess shed retryable)\n"
       "  --idle-timeout-ms=N  close idle connections in listen mode "
       "(default 30000)\n"
-      "  --batch-window-ms=N  sweep batching window in listen mode "
-      "(default 10; 0 disables batching)\n"
       "requests on stdin, one per line; responses on stdout, correlated by "
       "id (see src/serve/protocol.hpp)\n"
       "exit codes: 0 clean shutdown (EOF, 'shutdown', SIGINT/SIGTERM), "
@@ -124,7 +120,6 @@ int main(int argc, char** argv) {
   ServeOptions options;
   bool listen_mode = false;
   TcpServerOptions tcp_options;
-  std::uint64_t batch_window_ms = 10;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--workers=", 10) == 0) {
@@ -159,8 +154,6 @@ int main(int argc, char** argv) {
       tcp_options.max_connections = std::strtoull(arg + 18, nullptr, 10);
     } else if (std::strncmp(arg, "--idle-timeout-ms=", 18) == 0) {
       tcp_options.idle_timeout_ms = std::strtoull(arg + 18, nullptr, 10);
-    } else if (std::strncmp(arg, "--batch-window-ms=", 18) == 0) {
-      batch_window_ms = std::strtoull(arg + 18, nullptr, 10);
     } else if (std::strcmp(arg, "--help") == 0) {
       print_usage(stdout);
       return 0;
@@ -193,13 +186,6 @@ int main(int argc, char** argv) {
 
   if (listen_mode) {
     tcp_options.retry_after_ms = options.retry_after_ms;
-    // Lifetime contract: batcher after the server (detaches before the
-    // server dies), TCP front-end last (torn down before the batcher so no
-    // connection can enqueue into a dying window).
-    SweepBatcherOptions batch_options;
-    batch_options.window_ms = batch_window_ms;
-    SweepBatcher batcher(server, batch_options);
-    if (batch_window_ms > 0) batcher.attach();
     TcpServer tcp(server, tcp_options);
     std::string error;
     if (!tcp.start(&error)) {

@@ -12,7 +12,6 @@
 //   slocal_tool solve     <file> <support>  bipartite solvability on a support:
 //                                           cycle:<h> | complete:<a>x<b>
 //   slocal_tool zero      <file> <support>  0-round Supported-LOCAL decision
-//   slocal_tool portfolio <file> <support>  race backtracking vs CDCL seeds
 //   slocal_tool sweep     <file> <Δ> <r> <family>
 //                                           lift_{Δ,r} solvability across a
 //                                           support family, incrementally
@@ -127,7 +126,6 @@
 #include "src/re/round_elimination.hpp"
 #include "src/re/sequence.hpp"
 #include "src/solver/edge_labeling.hpp"
-#include "src/solver/portfolio.hpp"
 #include "src/solver/zero_round.hpp"
 #include "src/util/budget.hpp"
 
@@ -291,8 +289,9 @@ int cmd_fixed(const Problem& pi, const BudgetFlags& flags) {
 }
 
 int cmd_lift(const Problem& pi, std::size_t big_delta, std::size_t big_r) {
-  if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
-    std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
+  const std::string refused = lift_parameter_error(pi, big_delta, big_r);
+  if (!refused.empty()) {
+    std::fprintf(stderr, "%s\n", refused.c_str());
     return 1;
   }
   const LiftedProblem lift(pi, big_delta, big_r);
@@ -343,42 +342,6 @@ int cmd_zero(const Problem& pi, const BipartiteGraph& support,
   return exists ? 0 : 2;
 }
 
-int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
-                  const BudgetFlags& flags) {
-  SearchBudget budget_storage;
-  budget_storage.chain_to(&g_signal_token);
-  PortfolioOptions options;
-  options.budget = &budget_storage;  // signal chain; limits stay local below
-  options.timeout_ms = flags.timeout_ms;
-  if (flags.max_nodes > 0) {
-    // --max-nodes caps every engine in the race: backtracking nodes and
-    // CDCL conflicts are each a search-step analogue, so an unwinnable
-    // budget yields kExhausted (exit 3) instead of a free unlimited solve.
-    options.node_budget = flags.max_nodes;
-    options.conflict_budget = flags.max_nodes;
-  }
-  const PortfolioResult result = solve_labeling_portfolio(support, pi, options);
-  std::printf("portfolio: %s", to_string(result.verdict));
-  if (!result.winner.empty()) std::printf(" (winner: %s)", result.winner.c_str());
-  std::printf(" [nodes=%llu conflicts=%llu wall=%.1fms]\n",
-              static_cast<unsigned long long>(result.nodes),
-              static_cast<unsigned long long>(result.conflicts), result.wall_ms);
-  if (result.verdict == Verdict::kExhausted) {
-    std::fprintf(stderr, "budget exhausted: %s\n", to_string(result.reason));
-    return kExitExhausted;
-  }
-  if (result.verdict == Verdict::kNo) {
-    std::printf("UNSOLVABLE on this support\n");
-    return 2;
-  }
-  std::printf("solution:");
-  for (const Label l : *result.labels) {
-    std::printf(" %s", pi.registry().name(l).c_str());
-  }
-  std::printf("\n");
-  return 0;
-}
-
 /// Parses "gadgets:<lo>..<hi>" / "cycles:<lo>..<hi>" into a support family
 /// laid out for incremental reuse (src/lift/sweep.hpp).
 std::optional<std::vector<BipartiteGraph>> load_family(const std::string& spec,
@@ -426,8 +389,9 @@ int cmd_check_cert(const char* path) {
 int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
               const std::string& family_spec, bool scratch,
               const std::string& emit_cert_path, const BudgetFlags& flags) {
-  if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
-    std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
+  const std::string refused = lift_parameter_error(pi, big_delta, big_r);
+  if (!refused.empty()) {
+    std::fprintf(stderr, "%s\n", refused.c_str());
     return 1;
   }
   const auto supports = load_family(family_spec, big_delta, big_r);
@@ -883,7 +847,6 @@ void print_usage(std::FILE* out) {
                "  lift       <file> <D> <r>          materialize lift_{D,r}\n"
                "  solve      <file> <support>        bipartite solvability\n"
                "  zero       <file> <support>        0-round Supported-LOCAL decision\n"
-               "  portfolio  <file> <support>        race backtracking vs CDCL\n"
                "  sweep      <file> <D> <r> <family> lift solvability sweep\n"
                "  sequence   <file> [<file>...]      verify a lower-bound sequence\n"
                "  discover   <file> [<file>...]      search the relaxation space\n"
@@ -1045,12 +1008,11 @@ int main(int argc, char** argv) {
                      std::strtoul(args[3], nullptr, 10), args[4], scratch,
                      emit_cert_path, flags);
   }
-  if ((cmd == "solve" || cmd == "zero" || cmd == "portfolio") && args.size() >= 3) {
+  if ((cmd == "solve" || cmd == "zero") && args.size() >= 3) {
     const auto support = load_support(args[2]);
     if (!support) return 1;
     if (cmd == "solve") return cmd_solve(*pi, *support, flags);
-    if (cmd == "zero") return cmd_zero(*pi, *support, flags);
-    return cmd_portfolio(*pi, *support, flags);
+    return cmd_zero(*pi, *support, flags);
   }
   return usage();
 }

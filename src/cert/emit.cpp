@@ -40,6 +40,7 @@ std::optional<Certificate> make_lift_unsat_certificate(const Problem& pi,
                                                        std::size_t big_r,
                                                        const BipartiteGraph& g,
                                                        SearchBudget* budget) {
+  if (!lift_parameter_error(pi, big_delta, big_r).empty()) return std::nullopt;
   const LiftedProblem lift(pi, big_delta, big_r);
   const std::optional<Problem> psi = lift.materialize();
   if (!psi.has_value()) return std::nullopt;

@@ -31,7 +31,8 @@ std::optional<Certificate> make_sequence_certificate(
 
 /// Decides lift_{Δ,r}(pi) on `g` from scratch with DRAT logging armed and
 /// packs a lift-unsat certificate. nullopt unless the answer is a definitive
-/// kUnsat (a solvable or budget-exhausted instance has nothing to certify).
+/// kUnsat (a solvable or budget-exhausted instance has nothing to certify,
+/// and (Δ, r) outside lift_parameter_error's range is refused).
 /// Certificate emission always re-encodes from scratch: the incremental
 /// sweep interleaves many supports through one solver, which would tangle
 /// their proofs together.

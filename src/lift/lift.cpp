@@ -23,13 +23,21 @@ std::string set_name(SmallBitset set, const LabelRegistry& reg) {
 
 }  // namespace
 
+std::string lift_parameter_error(const Problem& base, std::size_t big_delta,
+                                 std::size_t big_r) {
+  if (big_delta >= base.white_degree() && big_r >= base.black_degree()) return {};
+  return "lift targets must dominate the problem degrees (white " +
+         std::to_string(base.white_degree()) + ", black " +
+         std::to_string(base.black_degree()) + "; got delta " +
+         std::to_string(big_delta) + ", r " + std::to_string(big_r) + ")";
+}
+
 LiftedProblem::LiftedProblem(Problem base, std::size_t big_delta, std::size_t big_r)
     : base_(std::move(base)),
       black_diagram_(base_.black(), base_.alphabet_size()),
       big_delta_(big_delta),
       big_r_(big_r) {
-  assert(big_delta_ >= base_.white_degree());
-  assert(big_r_ >= base_.black_degree());
+  assert(lift_parameter_error(base_, big_delta_, big_r_).empty());
   label_sets_ = black_diagram_.right_closed_sets();
 }
 

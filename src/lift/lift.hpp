@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/formalism/diagram.hpp"
@@ -28,10 +29,19 @@
 
 namespace slocal {
 
+/// Definition 3.1's parameter range: lift_{Δ,r}(Π) exists only for
+/// Δ >= Π.white_degree() and r >= Π.black_degree(). Returns why (Δ, r) is
+/// refused, or "" when it is in range. Every entry point that takes lift
+/// targets from its caller (slocal_tool, slocal_serve, run_lift_sweep,
+/// lift_solvable, the lift-unsat certificate emitter) checks this first, in
+/// every build type.
+std::string lift_parameter_error(const Problem& base, std::size_t big_delta,
+                                 std::size_t big_r);
+
 class LiftedProblem {
  public:
-  /// Builds lift_{Δ,r}(Π). Requires Δ >= Π.white_degree(),
-  /// r >= Π.black_degree(), and alphabet <= SmallBitset capacity.
+  /// Builds lift_{Δ,r}(Π). Requires lift_parameter_error(Π, Δ, r) == ""
+  /// and alphabet <= SmallBitset capacity.
   LiftedProblem(Problem base, std::size_t big_delta, std::size_t big_r);
 
   const Problem& base() const { return base_; }

@@ -35,6 +35,9 @@ Verdict verdict_of(SatResult r) {
 
 Verdict lift_solvable(const BipartiteGraph& g, const Problem& pi,
                       SearchBudget* budget) {
+  if (!lift_parameter_error(pi, g.max_white_degree(), g.max_black_degree()).empty()) {
+    return Verdict::kExhausted;
+  }
   const LiftedProblem lift(pi, g.max_white_degree(), g.max_black_degree());
   const std::optional<Problem> psi = lift.materialize();
   if (!psi.has_value()) return Verdict::kExhausted;
@@ -48,6 +51,8 @@ LiftSweepResult run_lift_sweep(const Problem& pi, std::size_t big_delta,
                                std::span<const BipartiteGraph> supports,
                                const LiftSweepOptions& options) {
   LiftSweepResult result;
+  result.refused = lift_parameter_error(pi, big_delta, big_r);
+  if (!result.refused.empty()) return result;
   const LiftedProblem lift(pi, big_delta, big_r);
   std::optional<Problem> psi = lift.materialize();
   if (!psi.has_value()) return result;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/formalism/problem.hpp"
@@ -28,8 +29,9 @@ namespace slocal {
 /// Decides whether lift_{Δ,r}(pi) admits a bipartite solution on `g`, with
 /// Δ, r read off g's maximum degrees (Theorem 3.2: this is exactly 0-round
 /// white-algorithm solvability of pi on g in Supported LOCAL). kExhausted
-/// when the budget trips or the lifted problem is too large to materialize
-/// — never a wrong kYes/kNo.
+/// when the budget trips, the lifted problem is too large to materialize,
+/// or g's degrees are below pi's (lift_parameter_error refuses them) —
+/// never a wrong kYes/kNo.
 Verdict lift_solvable(const BipartiteGraph& g, const Problem& pi,
                       SearchBudget* budget = nullptr);
 
@@ -65,7 +67,11 @@ struct LiftSweepStep {
 };
 
 struct LiftSweepResult {
-  /// false iff lift_{Δ,r}(pi) could not be materialized (steps then empty).
+  /// Non-empty iff (Δ, r) is outside Definition 3.1's range (see
+  /// lift_parameter_error); nothing was built or solved then.
+  std::string refused;
+  /// false iff the sweep was refused or lift_{Δ,r}(pi) could not be
+  /// materialized (steps then empty).
   bool lift_materialized = false;
   std::vector<LiftSweepStep> steps;  // one per support, same order
   std::size_t total_clauses = 0;     // distinct clauses encoded over the sweep
@@ -110,15 +116,16 @@ std::vector<BipartiteGraph> make_gadget_supports_for(
 std::vector<BipartiteGraph> make_cycle_supports_for(
     const std::vector<std::size_t>& sizes);
 
-/// One member of a batched sweep group: an inclusive support-size range
-/// over the group's shared family kind.
+/// One member of a sweep group: an inclusive support-size range over the
+/// group's shared family kind.
 struct SweepGroupMember {
   std::size_t lo = 0;
   std::size_t hi = 0;
 };
 
 struct SweepGroupResult {
-  /// false iff lift_{Δ,r}(pi) could not be materialized.
+  /// false iff the sweep was refused (sweep.refused says why) or
+  /// lift_{Δ,r}(pi) could not be materialized.
   bool lift_materialized = false;
   /// Sorted, deduplicated union of every member's sizes; `sweep.steps`
   /// aligns with this list.
@@ -129,14 +136,15 @@ struct SweepGroupResult {
   std::vector<std::vector<Verdict>> member_verdicts;
 };
 
-/// The batch entry point behind the service's sweep dispatcher: several
-/// requests over the same problem, lift targets, and family kind (gadgets
-/// or cycles, possibly with different lo..hi ranges) are answered through
-/// ONE incremental encoding. The union of the requested sizes is solved
-/// once — each size is a single assumption-guarded solve — and every
-/// member's verdict list is sliced out of the shared result. Budget
-/// exhaustion marks the affected sizes kExhausted exactly like
-/// run_lift_sweep; verdicts are never wrong, only missing.
+/// Several sweeps over the same problem, lift targets, and family kind
+/// (gadgets or cycles, possibly with different lo..hi ranges) answered
+/// through ONE incremental encoding; perfbench's traced serve-mix uses it
+/// as the in-process counterpart of a write sweep. The union of the
+/// requested sizes is solved once — each size is a single
+/// assumption-guarded solve — and every member's verdict list is sliced
+/// out of the shared result. Budget exhaustion marks the affected sizes
+/// kExhausted exactly like run_lift_sweep; verdicts are never wrong, only
+/// missing.
 SweepGroupResult run_lift_sweep_group(const Problem& pi, std::size_t big_delta,
                                       std::size_t big_r, bool cycles,
                                       std::span<const SweepGroupMember> members,

@@ -6,18 +6,6 @@
 
 namespace slocal {
 
-namespace {
-
-/// splitmix64: cheap, well-mixed 64-bit hash for seed-derived branching.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Var SatSolver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(kUndef);
@@ -294,16 +282,6 @@ void SatSolver::backtrack(int target_level) {
   propagate_head_ = trail_.size();
 }
 
-void SatSolver::set_branch_seed(std::uint64_t seed) {
-  branch_seed_ = seed;
-  if (seed == 0) return;
-  // Tiny deterministic jitter (far below any real activity bump) so copies
-  // with different seeds break activity ties on different variables.
-  for (Var v = 0; v < activity_.size(); ++v) {
-    activity_[v] += 1e-9 * static_cast<double>(mix64(seed ^ v) >> 40);
-  }
-}
-
 std::optional<Lit> SatSolver::pick_branch() {
   Var best = 0;
   double best_activity = -1.0;
@@ -318,14 +296,11 @@ std::optional<Lit> SatSolver::pick_branch() {
   if (!found) return std::nullopt;
   ++decisions_;
   // Saved phase first (the polarity this variable last held), then the
-  // seed-derived polarity, then the fixed negative-first default.
+  // fixed negative-first default.
   if (phase_[best] != kUndef) {
     return phase_[best] == kTrue ? Lit::positive(best) : Lit::negative(best);
   }
-  if (branch_seed_ != 0 && (mix64(branch_seed_ ^ (best * 0x10001ull)) & 1)) {
-    return Lit::positive(best);
-  }
-  return Lit::negative(best);  // default negative-first polarity
+  return Lit::negative(best);
 }
 
 void SatSolver::reduce_learned() {

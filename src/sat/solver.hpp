@@ -52,8 +52,8 @@ enum class SatResult { kSat, kUnsat, kUnknown };
 
 /// Cumulative counters for the work the solver does outside the core CDCL
 /// loop: the deletion probes of minimize_core(). All counters are monotone
-/// over the solver's lifetime and copied with it, so a portfolio copy starts
-/// from its parent's totals.
+/// over the solver's lifetime and copied with it, so a copy starts from its
+/// parent's totals.
 struct SatStats {
   // Always 0: the solver has no inprocessing passes. Kept only because the
   // end-to-end benchmark (perfbench/workloads.cpp) still reads these names.
@@ -111,9 +111,8 @@ class SatSolver {
   /// Solves, optionally under a conflict budget (0 = unlimited) and/or a
   /// shared SearchBudget (deadline, external cancel, shared conflict limit).
   /// Either budget tripping yields kUnknown — never a wrong kSat/kUnsat.
-  /// When `budget` is given, every conflict is also charged onto it, so a
-  /// portfolio sharing one budget across racing copies aggregates their
-  /// conflict totals.
+  /// When `budget` is given, every conflict is also charged onto it, so
+  /// solves sharing one budget aggregate their conflict totals.
   SatResult solve(std::uint64_t conflict_budget = 0, SearchBudget* budget = nullptr);
 
   /// Solves under the conjunction of `assumptions` without committing them:
@@ -158,21 +157,12 @@ class SatSolver {
 
   /// Branching-polarity preferences, one entry per variable: 0 = decide
   /// positive (true) first, 1 = negative first, 2 = no preference (fall back
-  /// to the seed rule). The solver keeps this current via phase saving —
+  /// to negative first). The solver keeps this current via phase saving —
   /// every unassignment records the variable's last value — so after a kSat
-  /// solve phases() reflects the model. set_phases() preloads the vector
-  /// (e.g. a portfolio winner's phases into a restarted losing engine);
+  /// solve phases() reflects the model. set_phases() preloads the vector;
   /// shorter input only overwrites a prefix.
   void set_phases(std::span<const std::uint8_t> phases);
   const std::vector<std::uint8_t>& phases() const { return phase_; }
-
-  /// Diversifies the branching heuristic for portfolio racing: seed != 0
-  /// perturbs variable activities by a tiny deterministic per-variable
-  /// jitter (breaking ties differently per seed) and derives decision
-  /// polarity from hash(seed, var) instead of the fixed negative-first
-  /// rule. Seed 0 restores the default deterministic heuristic. The solver
-  /// stays copyable, so one encoded instance can be cloned per seed.
-  void set_branch_seed(std::uint64_t seed);
 
   /// Model access after kSat (the model of the most recent kSat solve; it
   /// survives later clause additions until the next solve call).
@@ -232,7 +222,6 @@ class SatSolver {
   double clause_inc_ = 1.0;
 
   bool unsat_ = false;
-  std::uint64_t branch_seed_ = 0;
   std::uint64_t conflicts_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint64_t propagations_ = 0;

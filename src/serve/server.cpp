@@ -14,6 +14,7 @@
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
 #include "src/formalism/serialize.hpp"
+#include "src/lift/lift.hpp"
 #include "src/lift/sweep.hpp"
 #include "src/re/sequence.hpp"
 
@@ -50,15 +51,39 @@ std::optional<Problem> load_problem_file(const std::string& path, std::string* e
 }
 
 /// Parses "gadgets:<lo>..<hi>" / "cycles:<lo>..<hi>" (the slocal_tool sweep
-/// family grammar) into laid-out-for-reuse supports.
+/// family grammar) into laid-out-for-reuse supports. Cycles require
+/// Δ = r = 2; a family holds at most 257 supports.
 std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
                                                         std::size_t big_delta,
                                                         std::size_t big_r,
                                                         std::string* error) {
-  const auto parsed = parse_sweep_family_spec(spec, big_delta, big_r, error);
-  if (!parsed) return std::nullopt;
-  if (parsed->cycles) return make_cycle_supports(parsed->lo, parsed->hi);
-  return make_gadget_supports(big_delta, big_r, parsed->lo, parsed->hi);
+  const auto parse_range = [](const char* body, std::size_t* lo, std::size_t* hi) {
+    char* end = nullptr;
+    *lo = std::strtoul(body, &end, 10);
+    if (end == nullptr || std::strncmp(end, "..", 2) != 0) return false;
+    *hi = std::strtoul(end + 2, nullptr, 10);
+    return *lo >= 1 && *hi >= *lo;
+  };
+  std::size_t lo = 0, hi = 0;
+  const bool gadgets =
+      spec.rfind("gadgets:", 0) == 0 && parse_range(spec.c_str() + 8, &lo, &hi);
+  const bool cycles =
+      !gadgets && spec.rfind("cycles:", 0) == 0 &&
+      parse_range(spec.c_str() + 7, &lo, &hi);
+  if (!gadgets && !cycles) {
+    *error = "bad family '" + spec + "' (want gadgets:<lo>..<hi> or cycles:<lo>..<hi>)";
+    return std::nullopt;
+  }
+  if (cycles && (big_delta != 2 || big_r != 2 || lo < 2)) {
+    *error = "cycles family needs delta = r = 2 and lo >= 2";
+    return std::nullopt;
+  }
+  if (hi - lo > 256) {
+    *error = "family too large (more than 257 supports)";
+    return std::nullopt;
+  }
+  if (cycles) return make_cycle_supports(lo, hi);
+  return make_gadget_supports(big_delta, big_r, lo, hi);
 }
 
 /// Sweep memo key prefix: the canonical fingerprint of the problem plus the
@@ -71,55 +96,7 @@ std::string sweep_memo_prefix(const Problem& problem, std::size_t big_delta,
          std::to_string(big_delta) + '/' + std::to_string(big_r) + '/';
 }
 
-/// Comma-joins step verdicts the way every sweep response spells them.
-std::string join_verdicts(const std::vector<Verdict>& verdicts) {
-  std::string joined;
-  for (const Verdict v : verdicts) {
-    if (!joined.empty()) joined += ',';
-    joined += to_string(v);
-  }
-  return joined;
-}
-
 }  // namespace
-
-std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
-                                                       std::size_t big_delta,
-                                                       std::size_t big_r,
-                                                       std::string* error) {
-  const auto parse_range = [](const char* body, std::size_t* lo, std::size_t* hi) {
-    char* end = nullptr;
-    *lo = std::strtoul(body, &end, 10);
-    if (end == nullptr || std::strncmp(end, "..", 2) != 0) return false;
-    *hi = std::strtoul(end + 2, nullptr, 10);
-    return *lo >= 1 && *hi >= *lo;
-  };
-  SweepFamilySpec parsed;
-  if (spec.rfind("gadgets:", 0) == 0 &&
-      parse_range(spec.c_str() + 8, &parsed.lo, &parsed.hi)) {
-    if (parsed.hi - parsed.lo > 256) {
-      *error = "family too large (more than 257 supports)";
-      return std::nullopt;
-    }
-    parsed.cycles = false;
-    return parsed;
-  }
-  if (spec.rfind("cycles:", 0) == 0 &&
-      parse_range(spec.c_str() + 7, &parsed.lo, &parsed.hi)) {
-    if (big_delta != 2 || big_r != 2 || parsed.lo < 2) {
-      *error = "cycles family needs delta = r = 2 and lo >= 2";
-      return std::nullopt;
-    }
-    if (parsed.hi - parsed.lo > 256) {
-      *error = "family too large (more than 257 supports)";
-      return std::nullopt;
-    }
-    parsed.cycles = true;
-    return parsed;
-  }
-  *error = "bad family '" + spec + "' (want gadgets:<lo>..<hi> or cycles:<lo>..<hi>)";
-  return std::nullopt;
-}
 
 Server::Server(const ServeOptions& options)
     : options_(options),
@@ -144,12 +121,6 @@ Server::~Server() {
 void Server::set_response_sink(Sink sink) {
   const std::lock_guard<std::mutex> lock(sink_mutex_);
   sink_ = std::move(sink);
-}
-
-void Server::set_sweep_interceptor(
-    std::function<void(AdmittedSweep&&)> interceptor) {
-  const std::lock_guard<std::mutex> lock(interceptor_mutex_);
-  interceptor_ = std::move(interceptor);
 }
 
 std::string Server::ready_line() const {
@@ -285,68 +256,10 @@ bool Server::handle_line(const std::string& line, Sink sink) {
   const FaultInjector::RequestFaults faults = injector_.next_request_faults();
   if (faults.exhaust_budget) budget->cancel();
 
-  // Batched sweep dispatch: an installed interceptor takes custody of every
-  // admitted sweep (and later hands it back through submit_admitted_sweep /
-  // submit_sweep_group); everything else goes straight to the pool.
-  if (request->kind == Request::Kind::kSweep) {
-    const std::lock_guard<std::mutex> lock(interceptor_mutex_);
-    if (interceptor_) {
-      AdmittedSweep admitted;
-      admitted.request = *request;
-      admitted.ticket = ticket;
-      admitted.faults = faults;
-      admitted.group_key = sweep_group_key(*request);
-      interceptor_(std::move(admitted));
-      return true;
-    }
-  }
-
   pool_->submit([this, request = *request, ticket, faults] {
     execute(request, ticket, faults);
   });
   return true;
-}
-
-std::string Server::sweep_group_key(const Request& request) const {
-  // Grouping is keyed on the *canonical* problem (two paths to the same
-  // bytes batch together) + lift targets + family kind — members may differ
-  // in lo..hi, the group solve takes the union. Requests that would fail
-  // validation get no key and bounce through the per-request path.
-  std::string error;
-  const auto problem = load_problem_file(request.path, &error);
-  if (!problem) return {};
-  if (request.big_delta < problem->white_degree() ||
-      request.big_r < problem->black_degree()) {
-    return {};
-  }
-  const auto spec = parse_sweep_family_spec(request.family, request.big_delta,
-                                            request.big_r, &error);
-  if (!spec) return {};
-  return hex16(canonicalize(*problem).fingerprint) + '/' +
-         std::to_string(request.big_delta) + '/' + std::to_string(request.big_r) +
-         '/' + (spec->cycles ? "cycles" : "gadgets");
-}
-
-void Server::submit_admitted_sweep(AdmittedSweep&& admitted) {
-  {
-    const std::lock_guard<std::mutex> lock(counter_mutex_);
-    ++counters_.sweep_single_dispatch;
-  }
-  pool_->submit([this, request = std::move(admitted.request),
-                 ticket = admitted.ticket, faults = admitted.faults] {
-    execute(request, ticket, faults);
-  });
-}
-
-void Server::submit_sweep_group(std::vector<AdmittedSweep>&& group) {
-  if (group.empty()) return;
-  if (group.size() == 1) {
-    submit_admitted_sweep(std::move(group.front()));
-    return;
-  }
-  pool_->submit([this, group = std::move(group)]() mutable {
-    execute_sweep_group(std::move(group));
-  });
 }
 
 void Server::request_shutdown() {
@@ -449,175 +362,6 @@ void Server::execute(const Request& request, std::uint64_t ticket,
   finish_request(ticket, response);
 }
 
-void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
-  // Injected wedge, batched flavor: like the per-request path, sleep
-  // without polling any budget — the watchdog cancels around the group.
-  std::uint64_t delay_ms = 0;
-  for (const AdmittedSweep& a : group) {
-    delay_ms = std::max(delay_ms, a.faults.delay_ms);
-  }
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-
-  std::vector<std::shared_ptr<SearchBudget>> budgets(group.size());
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto it = registry_.find(group[i].ticket);
-      if (it != registry_.end()) budgets[i] = it->second.budget;
-    }
-  }
-
-  const auto shed = [&](std::size_t i) {
-    const BudgetConsumption consumed =
-        budgets[i] ? budgets[i]->consumption() : BudgetConsumption{};
-    finish_request(group[i].ticket, make_retryable(group[i].request.id, "",
-                                                   options_.retry_after_ms,
-                                                   consumed));
-  };
-  const auto invalid_all = [&](const std::string& message) {
-    for (const AdmittedSweep& a : group) {
-      finish_request(a.ticket, make_invalid(a.request.id, message));
-    }
-  };
-
-  // Load and validate once: every member shares the group key, so the
-  // canonical problem, lift targets, and family kind agree.
-  std::string error;
-  const auto problem = load_problem_file(group.front().request.path, &error);
-  if (!problem) {
-    invalid_all(error);
-    return;
-  }
-  const std::string memo_prefix = sweep_memo_prefix(
-      *problem, group.front().request.big_delta, group.front().request.big_r);
-
-  // Members whose exact sweep is already decided replay it from the memo,
-  // as they would outside a batch; only the rest share the group solve.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (budgets[i] && !budgets[i]->halted()) {
-      const auto hit = replay_sweep_memo(memo_prefix + group[i].request.family,
-                                         group[i].request, *budgets[i]);
-      if (hit) {
-        finish_request(group[i].ticket, *hit);
-        continue;
-      }
-    }
-    if (kept != i) {
-      group[kept] = std::move(group[i]);
-      budgets[kept] = std::move(budgets[i]);
-    }
-    ++kept;
-  }
-  group.resize(kept);
-  budgets.resize(kept);
-  if (group.empty()) return;
-  if (group.size() == 1) {
-    // A lone member takes the per-request path.
-    if (budgets[0] && !budgets[0]->halted()) {
-      finish_request(group[0].ticket, run_sweep(group[0].request, *budgets[0]));
-    } else {
-      shed(0);
-    }
-    return;
-  }
-
-  // The executor is the first member whose budget is still live; members
-  // already tripped (injected exhaustion, watchdog cancel, shutdown) are
-  // shed as retryable — a fault may delay a verdict, never flip one.
-  std::size_t executor = group.size();
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (budgets[i] && !budgets[i]->halted()) {
-      executor = i;
-      break;
-    }
-  }
-  if (executor == group.size()) {
-    for (std::size_t i = 0; i < group.size(); ++i) shed(i);
-    return;
-  }
-
-  const Request& lead = group[executor].request;
-  SearchBudget& budget = *budgets[executor];
-  std::vector<SweepGroupMember> members;
-  members.reserve(group.size());
-  bool cycles = false;
-  for (const AdmittedSweep& a : group) {
-    const auto spec = parse_sweep_family_spec(a.request.family, a.request.big_delta,
-                                              a.request.big_r, &error);
-    if (!spec) {
-      invalid_all(error);  // unreachable: the group key already parsed it
-      return;
-    }
-    cycles = spec->cycles;
-    members.push_back(SweepGroupMember{spec->lo, spec->hi});
-  }
-
-  {
-    // Counted here, after memo replays and the lone-member fallback: a
-    // batch group is a set of members that really share one solve.
-    const std::lock_guard<std::mutex> lock(counter_mutex_);
-    ++counters_.sweep_batch_groups;
-    counters_.sweep_batch_requests += group.size();
-    counters_.sweep_batch_peak = std::max(
-        counters_.sweep_batch_peak, static_cast<std::uint64_t>(group.size()));
-  }
-  LiftSweepOptions options;
-  options.incremental = true;
-  options.certify_cores = false;
-  options.budget = &budget;
-  const SweepGroupResult result = run_lift_sweep_group(
-      *problem, lead.big_delta, lead.big_r, cycles, members, options);
-  if (!result.lift_materialized) {
-    invalid_all("lift too large to materialize");
-    return;
-  }
-
-  const std::string group_size = std::to_string(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    // Shed members whose own budget tripped while the executor solved
-    // (watchdog cancel of an overdue member, injected exhaustion) — their
-    // retry contract stays exactly the per-request one.
-    if (i != executor && budgets[i] && budgets[i]->halted()) {
-      shed(i);
-      continue;
-    }
-    const std::vector<Verdict>& verdicts = result.member_verdicts[i];
-    bool exhausted = false;
-    for (const Verdict v : verdicts) exhausted = exhausted || v == Verdict::kExhausted;
-    BudgetConsumption consumed =
-        budgets[i] ? budgets[i]->consumption() : BudgetConsumption{};
-    if (i == executor) {
-      consumed.conflicts = std::max(consumed.conflicts, result.sweep.total_conflicts);
-    }
-    if (exhausted) {
-      if (consumed.reason == ExhaustReason::kNone) {
-        consumed.reason = ExhaustReason::kConflicts;
-      }
-      finish_request(group[i].ticket,
-                     make_retryable(group[i].request.id, "",
-                                    options_.retry_after_ms, consumed));
-      continue;
-    }
-    const std::string joined = join_verdicts(verdicts);
-    {
-      // Fully decided slices feed the memo exactly like budget-clean
-      // per-request sweeps, so later singletons replay them for free.
-      const std::lock_guard<std::mutex> lock(memo_mutex_);
-      sweep_memo_.emplace(memo_prefix + group[i].request.family,
-                          SweepMemoEntry{joined, verdicts.size()});
-    }
-    finish_request(group[i].ticket,
-                   make_ok(group[i].request.id,
-                           "verdicts=" + joined + " supports=" +
-                               std::to_string(verdicts.size()) + " batch=" +
-                               group_size,
-                           consumed));
-  }
-}
-
 Response Server::run_sequence(const Request& request, SearchBudget& budget) {
   std::string error;
   const auto problem = load_problem_file(request.path, &error);
@@ -665,15 +409,14 @@ Response Server::run_sweep(const Request& request, SearchBudget& budget) {
   std::string error;
   const auto problem = load_problem_file(request.path, &error);
   if (!problem) return make_invalid(request.id, error);
-  if (request.big_delta < problem->white_degree() ||
-      request.big_r < problem->black_degree()) {
-    return make_invalid(request.id, "lift targets must dominate the problem degrees");
-  }
+  const std::string refused =
+      lift_parameter_error(*problem, request.big_delta, request.big_r);
+  if (!refused.empty()) return make_invalid(request.id, refused);
   const auto supports =
       parse_family(request.family, request.big_delta, request.big_r, &error);
   if (!supports) return make_invalid(request.id, error);
 
-  // The cross-request snapshot pool: a repeat of an already-decided sweep
+  // The sweep memo: a repeat of an already-decided sweep
   // replays its verdicts without touching a solver. Only budget-clean runs
   // enter the memo.
   const std::string memo_key =
@@ -900,9 +643,7 @@ std::string Server::stats_line() const {
       "stats received=%llu admitted=%llu admission_rejects=%llu completed=%llu "
       "ok=%llu invalid=%llu retryable=%llu corrupt=%llu budget_exhausted=%llu "
       "watchdog_cancels=%llu wedged_peak=%llu checkpoints_written=%llu "
-      "checkpoint_failures=%llu sweep_memo_hits=%llu sweep_batch_groups=%llu "
-      "sweep_batch_requests=%llu sweep_batch_peak=%llu "
-      "sweep_single_dispatch=%llu cache_entries=%zu "
+      "checkpoint_failures=%llu sweep_memo_hits=%llu cache_entries=%zu "
       "cache_hits=%llu cache_misses=%llu in_flight=%zu",
       static_cast<unsigned long long>(c.received),
       static_cast<unsigned long long>(c.admitted),
@@ -917,11 +658,7 @@ std::string Server::stats_line() const {
       static_cast<unsigned long long>(c.wedged_peak),
       static_cast<unsigned long long>(c.checkpoints_written),
       static_cast<unsigned long long>(c.checkpoint_failures),
-      static_cast<unsigned long long>(c.sweep_memo_hits),
-      static_cast<unsigned long long>(c.sweep_batch_groups),
-      static_cast<unsigned long long>(c.sweep_batch_requests),
-      static_cast<unsigned long long>(c.sweep_batch_peak),
-      static_cast<unsigned long long>(c.sweep_single_dispatch), cache.entries,
+      static_cast<unsigned long long>(c.sweep_memo_hits), cache.entries,
       static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses), in_flight);
   return buf;

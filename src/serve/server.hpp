@@ -107,33 +107,7 @@ struct ServeCounters {
   std::uint64_t checkpoints_written = 0;
   std::uint64_t checkpoint_failures = 0;
   std::uint64_t sweep_memo_hits = 0;
-  /// Batched sweep dispatch (the net layer's SweepBatcher): groups of
-  /// size > 1 answered through one shared encoding, requests inside those
-  /// groups, the largest group seen, and sweeps dispatched individually
-  /// (singleton groups + ungroupable requests).
-  std::uint64_t sweep_batch_groups = 0;
-  std::uint64_t sweep_batch_requests = 0;
-  std::uint64_t sweep_batch_peak = 0;
-  std::uint64_t sweep_single_dispatch = 0;
 };
-
-/// A parsed sweep family spec: "gadgets:<lo>..<hi>" or "cycles:<lo>..<hi>"
-/// (the slocal_tool grammar). Exposed so the batching dispatcher can group
-/// requests by family *kind* and slice per-request ranges out of one
-/// union solve.
-struct SweepFamilySpec {
-  bool cycles = false;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-
-/// Validates and parses a family spec against the lift targets (cycles
-/// require Δ = r = 2; at most 257 supports). nullopt with *error set on
-/// malformed or oversized specs.
-std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
-                                                       std::size_t big_delta,
-                                                       std::size_t big_r,
-                                                       std::string* error);
 
 class Server {
  public:
@@ -167,35 +141,6 @@ class Server {
   /// different per-line sinks concurrently (each individual sink is still
   /// called at most once per response).
   bool handle_line(const std::string& line, Sink sink);
-
-  /// One sweep request admitted while a sweep interceptor is installed:
-  /// everything the deferred dispatch needs to execute it later.
-  struct AdmittedSweep {
-    Request request;
-    std::uint64_t ticket = 0;
-    FaultInjector::RequestFaults faults;
-    /// Batching key: canonical problem fingerprint + lift targets + family
-    /// *kind* — requests sharing it can be answered through one encoding
-    /// even when their lo..hi ranges differ. Empty = ungroupable (the
-    /// request will fail validation later; dispatch it individually).
-    std::string group_key;
-  };
-
-  /// When set, admitted sweep requests are handed to `interceptor` instead
-  /// of going straight to the worker pool; the interceptor must eventually
-  /// pass every one of them to submit_admitted_sweep or submit_sweep_group
-  /// (drain() blocks until it does). The call runs under an internal lock,
-  /// so clearing the interceptor (set to nullptr) synchronizes with
-  /// in-progress deliveries. Non-sweep requests are unaffected.
-  void set_sweep_interceptor(std::function<void(AdmittedSweep&&)> interceptor);
-
-  /// Dispatches one intercepted sweep through the normal per-request path.
-  void submit_admitted_sweep(AdmittedSweep&& admitted);
-  /// Dispatches a whole group (same group_key) through ONE incremental
-  /// encoding: the union of the members' ranges is solved once and each
-  /// member's verdict list is sliced out of it. Groups of size 1 fall back
-  /// to submit_admitted_sweep.
-  void submit_sweep_group(std::vector<AdmittedSweep>&& group);
 
   /// The runtime fault counters, shared with the net transport so
   /// drop-connection ordinals count accepted sockets exactly once.
@@ -234,7 +179,6 @@ class Server {
   void emit_raw(const std::string& line, const Sink& sink);
   void execute(const Request& request, std::uint64_t ticket,
                FaultInjector::RequestFaults faults);
-  void execute_sweep_group(std::vector<AdmittedSweep> group);
   Response run_sequence(const Request& request, SearchBudget& budget);
   Response run_sweep(const Request& request, SearchBudget& budget);
   /// The memoized answer to `request` under `memo_key` (counted as a
@@ -244,9 +188,6 @@ class Server {
                                             SearchBudget& budget);
   Response run_check_cert(const Request& request, SearchBudget& budget);
   Response run_discover(const Request& request, SearchBudget& budget);
-  /// Builds an AdmittedSweep's group key (loads + canonicalizes the problem
-  /// file; "" when the request won't survive validation anyway).
-  std::string sweep_group_key(const Request& request) const;
   void finish_request(std::uint64_t ticket, const Response& response);
   void watchdog_loop();
   std::size_t wedged_now() const;  // registry_mutex_ must be held
@@ -264,9 +205,6 @@ class Server {
 
   std::mutex sink_mutex_;
   Sink sink_;
-
-  std::mutex interceptor_mutex_;
-  std::function<void(AdmittedSweep&&)> interceptor_;
 
   mutable std::mutex registry_mutex_;
   std::map<std::uint64_t, InFlight> registry_;  // ticket -> in-flight record

@@ -38,8 +38,8 @@ struct SatLabelingStats {
   SatResult result = SatResult::kUnknown;
 };
 
-/// An encoded labeling instance. The solver is copyable, so a portfolio can
-/// encode once and race several copies under different branching seeds.
+/// An encoded labeling instance: the solver plus the per-edge label
+/// variables its model decodes through.
 struct LabelingCnf {
   SatSolver solver;
   std::vector<std::vector<Var>> edge_label_vars;  // [edge][label]
@@ -132,16 +132,6 @@ class IncrementalLabelingSweep {
   /// Guard literals of the most recent kNo step's core (minimized once
   /// check_last_core has confirmed it).
   std::span<const Lit> last_core() const { return last_core_; }
-
-  /// Copyable snapshot of the accumulated solver restricted to `g` for
-  /// portfolio racing: encodes any structure of `g` still missing, returns
-  /// a LabelingCnf whose edge_label_vars are indexed by g's edge ids, and
-  /// fills `assumptions` with the guard literals activating g's
-  /// constraints (pass them to solve_under_assumptions on each copy).
-  /// nullopt if `budget` tripped while completing the encoding.
-  std::optional<LabelingCnf> snapshot(const BipartiteGraph& g,
-                                      std::vector<Lit>* assumptions,
-                                      SearchBudget* budget = nullptr);
 
   const Problem& problem() const { return pi_; }
   const SatSolver& solver() const { return solver_; }

@@ -5,8 +5,8 @@
 // SearchBudget makes those searches interruptible without giving up
 // soundness: a search that runs out of budget reports "exhausted", never a
 // wrong yes/no. One budget object can be shared by many searches (and many
-// threads): the portfolio runner hands the same budget to racing solvers so
-// the first definitive answer cancels the losers.
+// threads): the parallel relaxation search hands the same budget to every
+// task, so one task's trip or cancel stops them all.
 //
 // Contract:
 //  * charge(n) is the per-search-tree-node check: it counts n nodes against

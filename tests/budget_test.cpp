@@ -18,7 +18,6 @@
 #include "src/re/sequence.hpp"
 #include "src/solver/cnf_encoding.hpp"
 #include "src/solver/edge_labeling.hpp"
-#include "src/solver/portfolio.hpp"
 #include "src/solver/zero_round.hpp"
 #include "src/util/budget.hpp"
 
@@ -328,108 +327,6 @@ TEST(BudgetRE, CancelledSequenceVerificationNeverFlipsVerdict) {
   EXPECT_TRUE(report.steps[0].re_budget_exhausted);
   EXPECT_FALSE(report.steps[0].relaxation_found);
   EXPECT_NE(report.to_string().find("EXHAUSTED"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Portfolio.
-// ---------------------------------------------------------------------------
-
-TEST(BudgetPortfolio, SolvableInstanceYieldsVerifiedLabeling) {
-  const Problem pi = parity_problem();
-  const BipartiteGraph g = make_bipartite_cycle(6);
-  const PortfolioResult result = solve_labeling_portfolio(g, pi);
-  ASSERT_EQ(result.verdict, Verdict::kYes);
-  ASSERT_TRUE(result.labels.has_value());
-  EXPECT_TRUE(check_bipartite_labeling(g, pi, *result.labels));
-  EXPECT_FALSE(result.winner.empty());
-  EXPECT_EQ(result.reason, ExhaustReason::kNone);
-}
-
-TEST(BudgetPortfolio, UnsolvableInstanceYieldsNo) {
-  const PortfolioResult result =
-      solve_labeling_portfolio(make_bipartite_cycle(5), parity_problem());
-  EXPECT_EQ(result.verdict, Verdict::kNo);
-  EXPECT_FALSE(result.labels.has_value());
-  EXPECT_FALSE(result.winner.empty());
-}
-
-TEST(BudgetPortfolio, PreCancelledExternalBudgetExhaustsImmediately) {
-  SearchBudget external;
-  external.cancel();
-  PortfolioOptions options;
-  options.budget = &external;
-  const PortfolioResult result =
-      solve_labeling_portfolio(make_bipartite_cycle(6), parity_problem(), options);
-  EXPECT_EQ(result.verdict, Verdict::kExhausted);
-  EXPECT_EQ(result.reason, ExhaustReason::kCancelled);
-  EXPECT_FALSE(result.labels.has_value());
-}
-
-TEST(BudgetPortfolio, RepeatedRacesLeakNothing) {
-  // The run_batch barrier means no task outlives its call; repeated races
-  // with mixed outcomes (win, lose, cancelled) must leave the process in a
-  // clean state every time. Run under ASan/TSan in CI.
-  const Problem pi = parity_problem();
-  const BipartiteGraph solvable = make_bipartite_cycle(6);
-  const BipartiteGraph unsolvable = make_bipartite_cycle(5);
-  for (int i = 0; i < 20; ++i) {
-    PortfolioOptions options;
-    options.sat_seeds = 2;
-    if (i % 3 == 2) {
-      SearchBudget external;
-      external.cancel();
-      options.budget = &external;
-      const auto r = solve_labeling_portfolio(solvable, pi, options);
-      EXPECT_EQ(r.verdict, Verdict::kExhausted);
-      continue;  // external must outlive the call — it does; the race is over
-    }
-    const auto r =
-        solve_labeling_portfolio(i % 2 == 0 ? solvable : unsolvable, pi, options);
-    EXPECT_EQ(r.verdict, i % 2 == 0 ? Verdict::kYes : Verdict::kNo);
-  }
-  // The pool is still healthy after all that churn.
-  const auto last = solve_labeling_portfolio(solvable, pi);
-  EXPECT_EQ(last.verdict, Verdict::kYes);
-}
-
-TEST(BudgetPortfolio, WinnerPhasesSeedTheNextRace) {
-  // Phase transplant across races: a one-node budget knocks the backtracker
-  // out, so the single CDCL engine must win and report its saved phases.
-  const Problem pi = parity_problem();
-  const BipartiteGraph g = make_bipartite_cycle(6);
-  PortfolioOptions options;
-  options.sat_seeds = 1;
-  options.node_budget = 1;
-  const PortfolioResult first = solve_labeling_portfolio(g, pi, options);
-  ASSERT_EQ(first.verdict, Verdict::kYes);
-  EXPECT_EQ(first.winner, "sat[0]");
-  ASSERT_TRUE(first.labels.has_value());
-  ASSERT_FALSE(first.winner_phase.empty());
-
-  // Re-running primed with the winner's phases must deterministically
-  // re-derive the same model: every branch follows the saved polarity, and
-  // propagation from a model-consistent prefix only derives model-true
-  // literals — so the race cannot even conflict, let alone diverge.
-  PortfolioOptions primed = options;
-  primed.initial_phase = first.winner_phase;
-  const PortfolioResult second = solve_labeling_portfolio(g, pi, primed);
-  ASSERT_EQ(second.verdict, Verdict::kYes);
-  EXPECT_EQ(second.winner, "sat[0]");
-  ASSERT_TRUE(second.labels.has_value());
-  EXPECT_TRUE(check_bipartite_labeling(g, pi, *second.labels));
-  EXPECT_EQ(*second.labels, *first.labels);
-}
-
-TEST(BudgetPortfolio, BacktrackerWinLeavesWinnerPhaseEmpty) {
-  // The phase vector is a CDCL artifact; a backtracking win reports none.
-  const PortfolioResult result =
-      solve_labeling_portfolio(make_bipartite_cycle(6), parity_problem());
-  ASSERT_EQ(result.verdict, Verdict::kYes);
-  if (result.winner == "backtracking") {
-    EXPECT_TRUE(result.winner_phase.empty());
-  } else {
-    EXPECT_FALSE(result.winner_phase.empty());
-  }
 }
 
 }  // namespace

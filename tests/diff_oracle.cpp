@@ -8,7 +8,6 @@
 #include "src/re/sequence.hpp"
 #include "src/solver/cnf_encoding.hpp"
 #include "src/solver/edge_labeling.hpp"
-#include "src/solver/portfolio.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/rng.hpp"
 
@@ -112,8 +111,7 @@ std::string DiffOracleReport::summary() const {
 }
 
 void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> supports,
-                       std::uint64_t max_brute_assignments,
-                       std::size_t portfolio_threads, DiffOracleReport* report) {
+                       std::uint64_t max_brute_assignments, DiffOracleReport* report) {
   IncrementalLabelingSweep sweep(pi);
   for (std::size_t si = 0; si < supports.size(); ++si) {
     const BipartiteGraph& g = supports[si];
@@ -169,22 +167,7 @@ void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> suppor
       }
     }
 
-    // Engine 4 — the racing portfolio (phase saving and thread scheduling
-    // on top of the same encodings).
-    PortfolioOptions portfolio;
-    portfolio.threads = portfolio_threads;
-    const PortfolioResult race = solve_labeling_portfolio(g, pi, portfolio);
-    if (race.verdict == Verdict::kExhausted) {
-      fail("portfolio returned exhausted without a budget");
-    } else if ((race.verdict == Verdict::kYes) != expected) {
-      fail("portfolio disagrees with backtracking");
-    } else if (race.verdict == Verdict::kYes &&
-               (!race.labels.has_value() ||
-                !check_bipartite_labeling(g, pi, *race.labels))) {
-      fail("portfolio labeling is invalid");
-    }
-
-    // Engine 5 — brute-force enumeration (small sizes only).
+    // Engine 4 — brute-force enumeration (small sizes only).
     const auto brute = brute_force_solvable(g, pi, max_brute_assignments);
     if (brute.has_value()) {
       ++report->brute_checked;
@@ -206,8 +189,7 @@ DiffOracleReport run_diff_oracle(const DiffOracleOptions& options) {
     if (!pi.has_value()) continue;
     const auto family = random_family(dw, db, options.supports_per_problem, rng);
     if (family.empty()) continue;
-    diff_check_family(*pi, family, options.max_brute_assignments,
-                      options.portfolio_threads, &report);
+    diff_check_family(*pi, family, options.max_brute_assignments, &report);
   }
   return report;
 }

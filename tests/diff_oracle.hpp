@@ -1,12 +1,11 @@
 // Differential-testing oracle for the bipartite labeling deciders.
 //
 // The framework's central question — "does Ψ admit a bipartite solution on
-// G?" — is now answered by five independent engines: the incremental CDCL
+// G?" — is answered by four independent engines: the incremental CDCL
 // sweep (IncrementalLabelingSweep, assumption literals per support), the
 // from-scratch CDCL path (solve_bipartite_labeling_sat), the backtracking
-// labeling solver (solve_bipartite_labeling), the racing portfolio
-// (solve_labeling_portfolio, at a configurable thread count), and, at small
-// sizes, plain brute-force enumeration over all label assignments. Lower
+// labeling solver (solve_bipartite_labeling), and, at small sizes, plain
+// brute-force enumeration over all label assignments. Lower
 // bounds hinge on trusting UNSAT answers, so this harness cross-checks all
 // of them on seeded random (problem, support-family) instances, validates
 // every claimed solution with check_bipartite_labeling, and requires each
@@ -42,10 +41,6 @@ struct DiffOracleOptions {
   /// Supports per random problem, fed through ONE incremental sweep so
   /// later supports exercise clause/guard reuse and learned-clause carry.
   std::size_t supports_per_problem = 3;
-  /// Thread count handed to the portfolio engine; the campaign must pass
-  /// identically at 1 (serial, fully deterministic scheduling) and at 4
-  /// (real races between the backtracker and the CDCL copies).
-  std::size_t portfolio_threads = 1;
 };
 
 struct DiffOracleReport {
@@ -62,11 +57,10 @@ struct DiffOracleReport {
   std::string summary() const;
 };
 
-/// Cross-checks one support family against all five engines, reusing one
+/// Cross-checks one support family against all four engines, reusing one
 /// incremental sweep across the family. Appends to `report`.
 void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> supports,
-                       std::uint64_t max_brute_assignments,
-                       std::size_t portfolio_threads, DiffOracleReport* report);
+                       std::uint64_t max_brute_assignments, DiffOracleReport* report);
 
 /// Runs the full seeded-random campaign described in the options.
 DiffOracleReport run_diff_oracle(const DiffOracleOptions& options = {});

@@ -1,10 +1,14 @@
 // Lift construction tests (Definition 3.1): label-set alphabets, the ∀/∃
-// conditions, implicit/explicit agreement, and the Section 4.2 structural
-// facts the counting lemmas use.
+// conditions, implicit/explicit agreement, the Section 4.2 structural facts
+// the counting lemmas use, the parameter range every lift entry point
+// enforces, and the sweep-group slicing.
 #include <gtest/gtest.h>
 
+#include "src/cert/emit.hpp"
 #include "src/formalism/diagram.hpp"
+#include "src/graph/generators.hpp"
 #include "src/lift/lift.hpp"
+#include "src/lift/sweep.hpp"
 #include "src/problems/classic.hpp"
 #include "src/problems/coloring_family.hpp"
 #include "src/problems/matching_family.hpp"
@@ -155,6 +159,70 @@ TEST(Lift, ColoringLiftEdgeDisjointness) {
   const auto x_idx = lift.index_of(d.right_closure(SmallBitset::single(x)));
   ASSERT_TRUE(x_idx.has_value());
   EXPECT_TRUE(lift.black_ok(std::vector<std::size_t>{*idx, *x_idx}));
+}
+
+TEST(LiftParameters, RBelowBlackDegreeIsRefusedInEveryBuild) {
+  // MM_3 has white and black degree 3, so lift_{3,1} lies outside
+  // Definition 3.1. The refusal is a library check, not an assert: Release
+  // builds must refuse too, and no entry point may build the lift.
+  const Problem mm = make_maximal_matching_problem(3);
+  EXPECT_EQ(lift_parameter_error(mm, 3, 3), "");
+  const std::string refused = lift_parameter_error(mm, 3, 1);
+  EXPECT_NE(refused.find("must dominate"), std::string::npos) << refused;
+  EXPECT_NE(lift_parameter_error(mm, 2, 2), "");
+
+  const LiftSweepResult sweep =
+      run_lift_sweep(mm, 3, 1, make_gadget_supports(3, 1, 1, 3));
+  EXPECT_EQ(sweep.refused, refused);
+  EXPECT_FALSE(sweep.lift_materialized);
+  EXPECT_TRUE(sweep.steps.empty());
+
+  const SweepGroupMember member{1, 2};
+  const SweepGroupResult group = run_lift_sweep_group(mm, 3, 1, false, {&member, 1});
+  EXPECT_EQ(group.sweep.refused, refused);
+  EXPECT_FALSE(group.lift_materialized);
+
+  // lift_solvable reads (Δ, r) off the support: K_{3,1} has black degree 1.
+  EXPECT_EQ(lift_solvable(make_complete_bipartite(3, 1), mm), Verdict::kExhausted);
+  EXPECT_FALSE(cert::make_lift_unsat_certificate(mm, 3, 1, make_complete_bipartite(1, 3))
+                   .has_value());
+}
+
+TEST(LiftSweepGroup, OverlappingMembersMatchPerMemberSweeps) {
+  // One union solve over overlapping ranges must slice out exactly the
+  // verdicts each member gets from its own run_lift_sweep, for both family
+  // kinds.
+  const Problem c2 = make_proper_coloring_problem(2, 2);
+  const std::vector<SweepGroupMember> cycles = {{2, 4}, {3, 5}, {4, 4}};
+  const SweepGroupResult by_cycles = run_lift_sweep_group(c2, 2, 2, true, cycles);
+  ASSERT_TRUE(by_cycles.lift_materialized);
+  EXPECT_EQ(by_cycles.sizes, (std::vector<std::size_t>{2, 3, 4, 5}));
+  ASSERT_EQ(by_cycles.member_verdicts.size(), cycles.size());
+  bool saw_yes = false, saw_no = false;
+  for (std::size_t m = 0; m < cycles.size(); ++m) {
+    const LiftSweepResult alone =
+        run_lift_sweep(c2, 2, 2, make_cycle_supports(cycles[m].lo, cycles[m].hi));
+    std::vector<Verdict> expected;
+    for (const LiftSweepStep& step : alone.steps) expected.push_back(step.verdict);
+    EXPECT_EQ(by_cycles.member_verdicts[m], expected) << "member " << m;
+    for (const Verdict v : expected) {
+      saw_yes = saw_yes || v == Verdict::kYes;
+      saw_no = saw_no || v == Verdict::kNo;
+    }
+  }
+  EXPECT_TRUE(saw_yes && saw_no);  // odd cycles refute, even ones solve
+
+  const Problem mm = make_maximal_matching_problem(3);
+  const std::vector<SweepGroupMember> gadgets = {{1, 3}, {2, 4}};
+  const SweepGroupResult by_gadgets = run_lift_sweep_group(mm, 3, 3, false, gadgets);
+  ASSERT_TRUE(by_gadgets.lift_materialized);
+  for (std::size_t m = 0; m < gadgets.size(); ++m) {
+    const LiftSweepResult alone = run_lift_sweep(
+        mm, 3, 3, make_gadget_supports(3, 3, gadgets[m].lo, gadgets[m].hi));
+    std::vector<Verdict> expected;
+    for (const LiftSweepStep& step : alone.steps) expected.push_back(step.verdict);
+    EXPECT_EQ(by_gadgets.member_verdicts[m], expected) << "member " << m;
+  }
 }
 
 }  // namespace

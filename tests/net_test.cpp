@@ -12,14 +12,10 @@
 //  * faults: drop-connection closes exactly the planned accept ordinals
 //    before a byte moves — dropped clients get no response, everyone else
 //    exactly one;
-//  * batching: concurrent sweeps with the same problem/lift/family-kind
-//    group into ONE incremental encoding; per-member verdict slices are
-//    byte-identical to unbatched runs; groups feed the sweep memo;
-//    singletons fall back to the ordinary path;
 //  * the soak: >= 3 workers, >= 16 concurrent client connections, faults
 //    injected — exactly one terminal response per request id, verdicts
-//    byte-identical to stdin mode, at least one group actually batched,
-//    and the checkpoint recovered by a fresh server afterwards;
+//    byte-identical to stdin mode, and the checkpoint recovered by a fresh
+//    server afterwards;
 //  * the binary: --listen=0 announces its ephemeral port, serves the
 //    slocal_tool client verb, and SIGTERM drains and exits 0.
 #include <arpa/inet.h>
@@ -42,7 +38,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/net/batcher.hpp"
 #include "src/net/client.hpp"
 #include "src/net/event_loop.hpp"
 #include "src/net/tcp_server.hpp"
@@ -369,11 +364,11 @@ TEST(NetSocket, ServesProtocolOverSplitWritesCrlfGarbageAndOversize) {
   ASSERT_TRUE(conn.send("ping\n"));
   EXPECT_EQ(conn.read_line(), "pong");
 
-  // Batch counters are part of the stats surface even when nothing batched.
+  // Control requests answer inline on the same connection.
   ASSERT_TRUE(conn.send("stats\n"));
   const std::string stats = conn.read_line();
-  EXPECT_NE(stats.find("sweep_batch_groups="), std::string::npos) << stats;
-  EXPECT_NE(stats.find("sweep_single_dispatch="), std::string::npos) << stats;
+  EXPECT_EQ(stats.rfind("stats ", 0), 0u) << stats;
+  EXPECT_NE(stats.find("sweep_memo_hits="), std::string::npos) << stats;
 
   fx.stop();
   const TcpServerCounters counters = fx.tcp.counters();
@@ -516,155 +511,6 @@ TEST(NetSocket, DropConnectionFaultDropsExactAcceptOrdinals) {
   EXPECT_EQ(fx.server.injector().accepts_counted(), 3u);
 }
 
-// ---------------------------------------------------------------- batching
-
-TEST(NetBatcher, GroupsOverlappingRangesAndMatchesUnbatchedVerdicts) {
-  // Reference: the same two sweeps, unbatched, on a plain server.
-  serve::ServeOptions ref_options;
-  ref_options.workers = 1;
-  serve::Server ref(ref_options);
-  Collector ref_sink;
-  ref_sink.attach(ref);
-  EXPECT_TRUE(ref.handle_line("req u1 sweep " + problem("two_coloring.txt") +
-                              " 2 2 cycles:2..4"));
-  EXPECT_TRUE(ref.handle_line("req u2 sweep " + problem("two_coloring.txt") +
-                              " 2 2 cycles:3..5"));
-  ref.drain();
-  const std::string ref1 = verdict_token(ref_sink.only_response("u1"));
-  const std::string ref2 = verdict_token(ref_sink.only_response("u2"));
-  ASSERT_FALSE(ref1.empty());
-  ASSERT_FALSE(ref2.empty());
-
-  serve::ServeOptions options;
-  options.workers = 2;
-  serve::Server server(options);
-  Collector sink;
-  sink.attach(server);
-  SweepBatcherOptions batch_options;
-  batch_options.window_ms = 60'000;  // flush() decides, not the clock
-  SweepBatcher batcher(server, batch_options);
-  batcher.attach();
-
-  // Overlapping ranges of the same family kind share one group (the key is
-  // fingerprint + lift targets + kind, not the full spec).
-  EXPECT_TRUE(server.handle_line("req b1 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 cycles:2..4"));
-  EXPECT_TRUE(server.handle_line("req b2 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 cycles:3..5"));
-  EXPECT_EQ(server.counters().sweep_batch_groups, 0u);  // still in the window
-  batcher.flush();
-  server.drain();
-
-  const std::string b1 = sink.only_response("b1");
-  const std::string b2 = sink.only_response("b2");
-  EXPECT_NE(b1.find(" ok "), std::string::npos) << b1;
-  EXPECT_NE(b1.find("batch=2"), std::string::npos) << b1;
-  EXPECT_NE(b2.find("batch=2"), std::string::npos) << b2;
-  EXPECT_EQ(verdict_token(b1), ref1) << b1;
-  EXPECT_EQ(verdict_token(b2), ref2) << b2;
-
-  serve::ServeCounters counters = server.counters();
-  EXPECT_EQ(counters.sweep_batch_groups, 1u);
-  EXPECT_EQ(counters.sweep_batch_requests, 2u);
-  EXPECT_EQ(counters.sweep_batch_peak, 2u);
-  EXPECT_EQ(counters.sweep_single_dispatch, 0u);
-
-  // A lone sweep of a different kind falls back to the ordinary path...
-  EXPECT_TRUE(server.handle_line("req g1 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 gadgets:2..3"));
-  batcher.flush();
-  server.drain();
-  EXPECT_NE(sink.only_response("g1").find(" ok "), std::string::npos);
-  EXPECT_EQ(server.counters().sweep_single_dispatch, 1u);
-
-  // ...and the batched group fed the sweep memo: an identical re-ask is a
-  // memo hit, never a re-solve.
-  EXPECT_TRUE(server.handle_line("req b3 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 cycles:2..4"));
-  batcher.flush();
-  server.drain();
-  const std::string b3 = sink.only_response("b3");
-  EXPECT_NE(b3.find("memo=hit"), std::string::npos) << b3;
-  EXPECT_EQ(verdict_token(b3), ref1) << b3;
-}
-
-TEST(NetBatcher, MemoizedSweepsInABatchReplayFromTheMemo) {
-  serve::ServeOptions options;
-  options.workers = 2;
-  serve::Server server(options);
-  Collector sink;
-  sink.attach(server);
-  SweepBatcherOptions batch_options;
-  batch_options.window_ms = 60'000;  // flush() decides, not the clock
-  SweepBatcher batcher(server, batch_options);
-  batcher.attach();
-  const std::string sweep = "sweep " + problem("two_coloring.txt") + " 2 2 ";
-
-  // Decide cycles:2..4 once; it enters the memo.
-  EXPECT_TRUE(server.handle_line("req m1 " + sweep + "cycles:2..4"));
-  batcher.flush();
-  server.drain();
-  const std::string m1 = sink.only_response("m1");
-  EXPECT_NE(m1.find("memo=miss"), std::string::npos) << m1;
-  EXPECT_EQ(server.counters().sweep_memo_hits, 0u);
-
-  // A repeat inside a batch window is answered from the memo; the one
-  // member left over takes the per-request path.
-  EXPECT_TRUE(server.handle_line("req m2 " + sweep + "cycles:2..4"));
-  EXPECT_TRUE(server.handle_line("req m3 " + sweep + "cycles:3..5"));
-  batcher.flush();
-  server.drain();
-  const std::string m2 = sink.only_response("m2");
-  const std::string m3 = sink.only_response("m3");
-  EXPECT_NE(m2.find("memo=hit"), std::string::npos) << m2;
-  EXPECT_EQ(verdict_token(m2), verdict_token(m1)) << m2;
-  EXPECT_NE(m3.find("memo=miss"), std::string::npos) << m3;
-  EXPECT_EQ(server.counters().sweep_memo_hits, 1u);
-  // m3 ran alone, so no batch group has shared a solve yet.
-  EXPECT_EQ(server.counters().sweep_batch_groups, 0u);
-  EXPECT_EQ(server.counters().sweep_batch_requests, 0u);
-  EXPECT_EQ(server.counters().sweep_batch_peak, 0u);
-
-  // Two hits and two misses in one window: the misses still share a solve.
-  EXPECT_TRUE(server.handle_line("req m4 " + sweep + "cycles:2..4"));
-  EXPECT_TRUE(server.handle_line("req m5 " + sweep + "cycles:3..5"));
-  EXPECT_TRUE(server.handle_line("req m6 " + sweep + "cycles:4..6"));
-  EXPECT_TRUE(server.handle_line("req m7 " + sweep + "cycles:5..7"));
-  batcher.flush();
-  server.drain();
-  EXPECT_NE(sink.only_response("m4").find("memo=hit"), std::string::npos);
-  EXPECT_EQ(verdict_token(sink.only_response("m5")), verdict_token(m3));
-  EXPECT_NE(sink.only_response("m5").find("memo=hit"), std::string::npos);
-  EXPECT_NE(sink.only_response("m6").find("batch=2"), std::string::npos);
-  EXPECT_NE(sink.only_response("m7").find("batch=2"), std::string::npos);
-  EXPECT_EQ(server.counters().sweep_memo_hits, 3u);
-  // Only m6 and m7 shared a solve: one group of two, not one of four.
-  EXPECT_EQ(server.counters().sweep_batch_groups, 1u);
-  EXPECT_EQ(server.counters().sweep_batch_requests, 2u);
-  EXPECT_EQ(server.counters().sweep_batch_peak, 2u);
-}
-
-TEST(NetBatcher, FullGroupDispatchesWithoutWaitingForTheWindow) {
-  serve::ServeOptions options;
-  options.workers = 2;
-  serve::Server server(options);
-  Collector sink;
-  sink.attach(server);
-  SweepBatcherOptions batch_options;
-  batch_options.window_ms = 60'000;
-  batch_options.max_group = 2;  // fills instantly
-  SweepBatcher batcher(server, batch_options);
-  batcher.attach();
-  EXPECT_TRUE(server.handle_line("req f1 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 cycles:2..3"));
-  EXPECT_TRUE(server.handle_line("req f2 sweep " + problem("two_coloring.txt") +
-                                 " 2 2 cycles:4..5"));
-  server.drain();  // no flush(): the full group dispatched on its own
-  EXPECT_NE(sink.only_response("f1").find("batch=2"), std::string::npos);
-  EXPECT_NE(sink.only_response("f2").find("batch=2"), std::string::npos);
-  EXPECT_EQ(server.counters().sweep_batch_peak, 2u);
-}
-
 // --------------------------------------------------------------------- soak
 
 TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
@@ -688,10 +534,6 @@ TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
   serve_options.faults = *plan;
 
   serve::Server server(serve_options);
-  SweepBatcherOptions batch_options;
-  batch_options.window_ms = 250;  // wide enough for the burst to pile up
-  SweepBatcher batcher(server, batch_options);
-  batcher.attach();
   TcpServerOptions tcp_options;
   tcp_options.max_connections = 64;
   TcpServer tcp(server, tcp_options);
@@ -715,8 +557,8 @@ TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
       std::string client_error;
       ASSERT_TRUE(client.connect(options, &client_error)) << client_error;
       const std::string tag = std::to_string(t);
-      // The sweep goes first so the burst lands inside one batch window;
-      // even/odd threads ask overlapping ranges of the same group.
+      // The sweep goes first so the burst of sweeps overlaps in the pool;
+      // even/odd threads ask overlapping ranges of the same problem.
       const std::vector<std::string> lines = {
           "req s" + tag + " sweep " + problem("two_coloring.txt") + " 2 2 " +
               (t % 2 == 0 ? "cycles:2..4" : "cycles:3..5"),
@@ -757,8 +599,8 @@ TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
   EXPECT_EQ(dropped_clients, 2);
   EXPECT_TRUE(stray.empty()) << stray.front();
 
-  // Stats over the wire (accept #17 is not a drop ordinal) exposes the
-  // batch counters mid-flight.
+  // Stats over the wire (accept #17 is not a drop ordinal) answers
+  // mid-flight.
   {
     Client stats_client;
     ClientOptions options;
@@ -768,7 +610,7 @@ TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
     const auto stats = stats_client.request("stats", &client_error);
     ASSERT_TRUE(stats.has_value()) << client_error;
     EXPECT_EQ(stats->rfind("stats ", 0), 0u) << *stats;
-    EXPECT_NE(stats->find("sweep_batch_groups="), std::string::npos) << *stats;
+    EXPECT_NE(stats->find("sweep_memo_hits="), std::string::npos) << *stats;
   }
 
   tcp.stop();
@@ -832,10 +674,7 @@ TEST(NetSoak, ConcurrentClientsWithFaultsKeepEveryInvariant) {
     check("cycles:3..5", "r2");
   }
 
-  // The burst really batched: at least one multi-request group ran.
   const serve::ServeCounters counters = server.counters();
-  EXPECT_GE(counters.sweep_batch_groups, 1u);
-  EXPECT_GE(counters.sweep_batch_peak, 2u);
   EXPECT_EQ(counters.admitted, counters.completed);  // the drain left nothing
   EXPECT_GT(counters.ok, 0u);
   EXPECT_GT(counters.invalid, 0u);
@@ -979,8 +818,8 @@ TEST(NetBinary, ListenModeServesToolClientAndDrainsOnSigterm) {
   EXPECT_EQ(WEXITSTATUS(status), 0) << proc.buffered;
   EXPECT_NE(proc.buffered.find("bye checkpoint=flushed"), std::string::npos)
       << proc.buffered;
-  EXPECT_NE(proc.buffered.find("sweep_batch_"), std::string::npos)
-      << proc.buffered;  // the final stats line carries the batch counters
+  EXPECT_NE(proc.buffered.find("stats received="), std::string::npos)
+      << proc.buffered;  // the final stats line precedes the bye
 }
 
 }  // namespace

@@ -434,7 +434,7 @@ TEST(SatMetamorphic, IncrementalSolveMatchesFromScratchAtEveryPrefix) {
 
 // ---------------------------------------------------------------------------
 // Phase saving: the solver remembers branch polarities across solves, and
-// callers (the portfolio) can transplant them between engines.
+// callers can preload them.
 // ---------------------------------------------------------------------------
 
 TEST(Sat, SetPhasesSteersFreeVariableAssignments) {

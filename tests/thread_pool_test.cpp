@@ -103,11 +103,11 @@ TEST(ThreadPool, ParallelForEmptyAndSingletonRanges) {
 }
 
 TEST(ThreadPool, CancellationStress) {
-  // Pattern used by the portfolio and the parallel relaxation search: tasks
-  // poll a shared SearchBudget, one of them cancels it early, and run_batch
-  // must still retire every task (cancellation is cooperative, not an
-  // abort). Repeat many rounds; the pool stays reusable throughout. CI runs
-  // this under ASan/UBSan to prove no task or allocation leaks.
+  // Pattern used by the parallel relaxation search: tasks poll a shared
+  // SearchBudget, one of them cancels it early, and run_batch must still
+  // retire every task (cancellation is cooperative, not an abort). Repeat
+  // many rounds; the pool stays reusable throughout. CI runs this under
+  // ASan/UBSan to prove no task or allocation leaks.
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
     SearchBudget budget;

@@ -76,29 +76,26 @@ void PrintTo(const ExitRow& row, std::ostream* os) {
 }
 
 std::vector<ExitRow> exit_rows() {
-  // Reused fragments. The K_{3,3} edge-parity budget rows pin a global
-  // contradiction (a double-counting argument over the whole graph) that no
-  // engine — CDCL under any seed, backtracking under any order — can decide
-  // within one node/conflict, so every racer trips its cap and the tool must
-  // report exit 3 rather than pretend --max-nodes was honored.
+  // Reused fragments. The K_{3,3} edge-parity budget row pins a global
+  // contradiction (a double-counting argument over the whole graph) that
+  // the backtracker cannot decide within one node, so the tool must report
+  // exit 3 rather than pretend --max-nodes was honored.
   const std::string parity_capped =
-      "portfolio " + problem("edge_parity_3.txt") + "complete:3x3 --max-nodes=1";
+      "solve " + problem("edge_parity_3.txt") + "complete:3x3 --max-nodes=1";
   const std::string sweep_cycles =
       "sweep " + problem("two_coloring.txt") + "2 2 cycles:2..6";
   const std::string matching_family =
       problem("matching_3_0_1.txt") + problem("matching_3_1_1.txt");
   return {
-      // portfolio: 0 = solvable, 2 = proven unsolvable, 3 = exhausted.
-      {"PortfolioSolvableEvenCycle",
-       "portfolio " + problem("two_coloring.txt") + "cycle:4", 0},
-      {"PortfolioUnsolvableOddCycle",
-       "portfolio " + problem("two_coloring.txt") + "cycle:3", 2},
-      {"PortfolioParityUnsolvable",
-       "portfolio " + problem("edge_parity_3.txt") + "complete:3x3", 2},
-      {"PortfolioExhaustsOnCappedParity", parity_capped, 3},
+      // solve: 0 = solvable, 2 = proven unsolvable, 3 = exhausted.
+      {"SolveSolvableEvenCycle",
+       "solve " + problem("two_coloring.txt") + "cycle:4", 0},
+      {"SolveUnsolvableOddCycle",
+       "solve " + problem("two_coloring.txt") + "cycle:3", 2},
+      {"SolveExhaustsOnCappedParity", parity_capped, 3},
       // sweep: decides the cycle family incrementally and from scratch;
       // exhausts under a one-node cap; rejects lift targets the problem
-      // cannot dominate (maximal_matching_3 has black degree 2, so r = 1
+      // cannot dominate (maximal_matching_3 has black degree 3, so r = 1
       // cannot host the lift).
       {"SweepDecidesCycles", sweep_cycles, 0},
       {"SweepDecidesCyclesScratch", sweep_cycles + " --scratch", 0},
@@ -141,12 +138,12 @@ std::vector<ExitRow> exit_rows() {
       // An unknown --flag is usage, never a silently ignored positional:
       // a misspelt budget flag must not run an unbudgeted search.
       {"UnknownFlagIsUsage",
-       "portfolio " + problem("two_coloring.txt") + "cycle:4 --frobnicate", 64},
+       "solve " + problem("two_coloring.txt") + "cycle:4 --frobnicate", 64},
       {"MisspeltBudgetFlagIsUsage", sweep_cycles + " --max-node=1", 64},
       {"MissingProblemFileIsInputError",
-       "portfolio " + problem("no_such_problem.txt") + "cycle:4", 1},
+       "solve " + problem("no_such_problem.txt") + "cycle:4", 1},
       {"BadInstanceSpecIsInputError",
-       "portfolio " + problem("two_coloring.txt") + "pentagon", 1},
+       "solve " + problem("two_coloring.txt") + "pentagon", 1},
       // simulate: 0 = all halted, 2 = live nodes at the round cap, 3 =
       // budget exhausted mid-run (one node / 1ms on a 20k-node instance:
       // no verdict may be printed), 1 = bad spec, 64 = missing positionals.
@@ -228,7 +225,7 @@ TEST(ToolCli, HelpExitsZeroAndMentionsEveryCommand) {
   std::string out;
   EXPECT_EQ(run_tool_capture("--help", &out), 0);
   for (const char* cmd : {"print", "re", "fixed", "lift", "solve", "zero",
-                          "portfolio", "sweep", "sequence", "check-cert",
+                          "sweep", "sequence", "check-cert",
                           "simulate", "discover", "--emit-cert"}) {
     EXPECT_NE(out.find(cmd), std::string::npos) << "--help misses " << cmd;
   }
