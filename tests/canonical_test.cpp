@@ -15,15 +15,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/formalism/parser.hpp"
 #include "src/formalism/problem.hpp"
 #include "src/problems/classic.hpp"
 #include "src/problems/coloring_family.hpp"
+#include "src/problems/matching_family.hpp"
+#include "src/re/round_elimination.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/rng.hpp"
 #include "tests/diff_oracle.hpp"
+
+#ifndef SLOCAL_PROBLEM_DIR
+#define SLOCAL_PROBLEM_DIR "examples/problems"
+#endif
 
 namespace slocal {
 namespace {
@@ -263,6 +275,191 @@ TEST(Canonical, DropUnusedLabelsOldOrderDependenceIsPinned) {
   EXPECT_TRUE(a.registry().find("B").has_value());
   EXPECT_FALSE(a.registry().find("junk").has_value());
   EXPECT_EQ(a.alphabet_size(), 2u);
+}
+
+struct Named {
+  std::string name;
+  Problem problem;
+};
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The pinned corpus: every examples/problems file, the E2 bench_re inputs,
+/// the Corollary 4.6 chains for Δ' = 3..7, and the RE output of each.
+std::vector<Named> golden_corpus() {
+  std::vector<Named> inputs;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(SLOCAL_PROBLEM_DIR)) {
+    if (entry.path().extension() == ".txt") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string file = path.filename().string();
+    auto p = parse_problem_text(file, buffer.str());
+    if (!p.has_value()) {
+      ADD_FAILURE() << "cannot parse " << path;
+      continue;
+    }
+    inputs.push_back({"file:" + file, std::move(*p)});
+  }
+  for (const auto& [delta, x, y] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {4, 0, 1}, {4, 1, 1}, {4, 2, 1}, {5, 0, 1},
+           {5, 1, 1}, {5, 1, 2}, {6, 1, 2}, {7, 1, 2}}) {
+    inputs.push_back({"E2:" + std::to_string(delta) + "," + std::to_string(x) + "," +
+                          std::to_string(y),
+                      make_matching_problem(delta, x, y)});
+  }
+  for (std::size_t delta = 3; delta <= 7; ++delta) {
+    const std::vector<Problem> chain = matching_lower_bound_sequence(
+        delta, 0, 1, matching_sequence_length(delta, 0, 1));
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      inputs.push_back({"chain" + std::to_string(delta) + "[" + std::to_string(i) + "]",
+                        chain[i]});
+    }
+  }
+  std::vector<Named> out = inputs;
+  REOptions options;
+  options.threads = 1;
+  options.max_configurations = 5'000'000;
+  for (const Named& in : inputs) {
+    auto re = round_eliminate(in.problem, options);
+    if (re.has_value()) out.push_back({"RE(" + in.name + ")", std::move(*re)});
+  }
+  return out;
+}
+
+struct GoldenPin {
+  const char* name;
+  /// fnv1a of format_problem(): pins the input itself, and for RE outputs
+  /// the canonical reindexing drop_unused_labels applied.
+  std::uint64_t text_hash;
+  std::uint64_t fingerprint;
+  std::vector<Label> perm;
+};
+
+std::string pin_literal(const std::string& name, std::uint64_t text_hash,
+                        const CanonicalForm& cf) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "{\"%s\", 0x%016llxULL, 0x%016llxULL, {", name.c_str(),
+                static_cast<unsigned long long>(text_hash),
+                static_cast<unsigned long long>(cf.fingerprint));
+  std::string out = buf;
+  for (std::size_t i = 0; i < cf.perm.size(); ++i) {
+    out += (i > 0 ? ", " : "") + std::to_string(cf.perm[i]);
+  }
+  return out + "}},";
+}
+
+// Recorded from the per-label refinement (canonical_reference.cpp) before
+// the one-pass rewrite; a mismatch prints the entry as computed now.
+const std::vector<GoldenPin>& golden_pins() {
+  static const std::vector<GoldenPin> pins = {
+      {"file:edge_parity_3.txt", 0x212252697e0a5088ULL, 0x7ca08639acef196fULL, {0, 1}},
+      {"file:matching_3_0_1.txt", 0xb5d7fdee294a05ffULL, 0x1207d991630ec1b9ULL, {3, 1, 4, 0, 2}},
+      {"file:matching_3_1_1.txt", 0x45c60eb87ac91c81ULL, 0xd345a7196f1a69d4ULL, {3, 0, 4, 1, 2}},
+      {"file:maximal_matching_3.txt", 0x57f307d042813b61ULL, 0x755c7eee5494ae88ULL, {0, 1, 2}},
+      {"file:sinkless_orientation_3.txt", 0x98c494c3270e4dd9ULL, 0x295eb8c086c7d70cULL, {0, 1}},
+      {"file:two_coloring.txt", 0xc3573438b10eec54ULL, 0x8001e77ca969d67dULL, {0, 1}},
+      {"file:weak_2_coloring_r3.txt", 0x0878169450741186ULL, 0x735c52cf70e289bfULL, {0, 1}},
+      {"E2:4,0,1", 0x17e86ee7420db9cdULL, 0xb5be0a5bae39dedfULL, {2, 4, 3, 0, 1}},
+      {"E2:4,1,1", 0xf3c1a53e0b2fb66eULL, 0x5443195a32b187f5ULL, {3, 4, 1, 0, 2}},
+      {"E2:4,2,1", 0x9284881093e82784ULL, 0xd17b43c631a9b664ULL, {2, 3, 4, 0, 1}},
+      {"E2:5,0,1", 0x556a9625ab229bdaULL, 0xc809ed3c131a97f4ULL, {2, 4, 3, 0, 1}},
+      {"E2:5,1,1", 0xc196216d4017db5fULL, 0xdcdfa5d3b9a5d5b9ULL, {3, 4, 1, 0, 2}},
+      {"E2:5,1,2", 0x9db837563d4ddfafULL, 0x3f5d74445a875150ULL, {2, 4, 1, 0, 3}},
+      {"E2:6,1,2", 0xcb51b2617f32a0d8ULL, 0xc8d33842bbbb5b1eULL, {2, 4, 1, 0, 3}},
+      {"E2:7,1,2", 0x00d2ff6bd367cb1cULL, 0xabdc17a7d2a4d9f1ULL, {2, 4, 1, 0, 3}},
+      {"chain3[0]", 0xdc7f182c8094a514ULL, 0x1207d991630ec1b9ULL, {3, 4, 1, 0, 2}},
+      {"chain3[1]", 0x3ad1e4a6ed663fdcULL, 0xd345a7196f1a69d4ULL, {3, 4, 0, 1, 2}},
+      {"chain4[0]", 0x17e86ee7420db9cdULL, 0xb5be0a5bae39dedfULL, {2, 4, 3, 0, 1}},
+      {"chain4[1]", 0xf3c1a53e0b2fb66eULL, 0x5443195a32b187f5ULL, {3, 4, 1, 0, 2}},
+      {"chain4[2]", 0x9284881093e82784ULL, 0xd17b43c631a9b664ULL, {2, 3, 4, 0, 1}},
+      {"chain5[0]", 0x556a9625ab229bdaULL, 0xc809ed3c131a97f4ULL, {2, 4, 3, 0, 1}},
+      {"chain5[1]", 0xc196216d4017db5fULL, 0xdcdfa5d3b9a5d5b9ULL, {3, 4, 1, 0, 2}},
+      {"chain5[2]", 0x969a204dd137e5aeULL, 0x24a4bc27d7a06990ULL, {2, 4, 3, 0, 1}},
+      {"chain5[3]", 0x3123d1576190d59bULL, 0x1779fc1b30d120ecULL, {2, 3, 4, 0, 1}},
+      {"chain6[0]", 0x8a6e8790fe2e81b1ULL, 0xd98b2b7f5dde418dULL, {2, 4, 3, 0, 1}},
+      {"chain6[1]", 0xd5d912216b0bb9a2ULL, 0xfbb2ec043e96f165ULL, {3, 4, 1, 0, 2}},
+      {"chain6[2]", 0x72bc91fcff8bb661ULL, 0x917852a15ab4ef61ULL, {2, 4, 3, 0, 1}},
+      {"chain6[3]", 0xf0bfcfcd3f8fe8dbULL, 0xf422b63ccc040dd9ULL, {2, 3, 4, 0, 1}},
+      {"chain6[4]", 0xe18939533a1f34c0ULL, 0x69b8675fe853e292ULL, {2, 3, 4, 0, 1}},
+      {"chain7[0]", 0xda9780b40bd01b3fULL, 0x571ae0f5f49dd93bULL, {2, 4, 3, 0, 1}},
+      {"chain7[1]", 0xad8358b120676d7aULL, 0x92102ee7108ff592ULL, {3, 4, 1, 0, 2}},
+      {"chain7[2]", 0x0ec1b4da7e9062cfULL, 0x75e3a59f2140e85fULL, {2, 4, 3, 0, 1}},
+      {"chain7[3]", 0x020c2d2b60e1acf3ULL, 0xedc7b46055bf5357ULL, {2, 4, 3, 0, 1}},
+      {"chain7[4]", 0x734015085a6ed6ffULL, 0x9630cacedd81390cULL, {2, 3, 4, 0, 1}},
+      {"chain7[5]", 0x7e737a360cb99feeULL, 0x320c319be4c46b63ULL, {2, 3, 4, 0, 1}},
+      {"RE(file:edge_parity_3.txt)", 0x6fb353a324d7b95aULL, 0x7ca08639acef196fULL, {0, 1}},
+      {"RE(file:matching_3_0_1.txt)", 0x62e2c0d74475f919ULL, 0x669b98a04819f73bULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(file:matching_3_1_1.txt)", 0x8e48e1bab4963b23ULL, 0xf216913d04ddde6aULL, {0, 1}},
+      {"RE(file:maximal_matching_3.txt)", 0xa23cc4e29b972c08ULL, 0xea3282aef2c22e0cULL, {0, 1, 2, 3, 4, 5}},
+      {"RE(file:sinkless_orientation_3.txt)", 0x8f1a5a18315a6038ULL, 0xf6cfdfd2c1dd6accULL, {0, 1}},
+      {"RE(file:two_coloring.txt)", 0x74d27ef92c4c8cd2ULL, 0x8001e77ca969d67dULL, {0, 1}},
+      {"RE(file:weak_2_coloring_r3.txt)", 0x2250cb000dab21b5ULL, 0x51f5cb1daa830e76ULL, {0, 1, 2, 3}},
+      {"RE(E2:4,0,1)", 0x73c404a8f2f7acc4ULL, 0xc33bfe43fb25ce47ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:4,1,1)", 0xc0a1f5f55b159171ULL, 0x06054ffa03516916ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:4,2,1)", 0xa03b794635de6b83ULL, 0xbc56468e82df71aaULL, {0, 1}},
+      {"RE(E2:5,0,1)", 0x1e694e018111132bULL, 0xdb7f5b525b1a9154ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:5,1,1)", 0x1b71bf1b9c19344aULL, 0x6a2ed1a2dbf9529dULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:5,1,2)", 0x25443cc40b0126feULL, 0x76c2a5c1db1356dbULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:6,1,2)", 0x6316bd5f125fb743ULL, 0x4d39a13ffd686d3aULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(E2:7,1,2)", 0x52c9617c87b0f27bULL, 0x6db91bc76f897492ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain3[0])", 0x7e6de295105a8d7eULL, 0x669b98a04819f73bULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain3[1])", 0x72099e077cc1c52eULL, 0xf216913d04ddde6aULL, {0, 1}},
+      {"RE(chain4[0])", 0x73c404a8f2f7acc4ULL, 0xc33bfe43fb25ce47ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain4[1])", 0xc0a1f5f55b159171ULL, 0x06054ffa03516916ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain4[2])", 0xa03b794635de6b83ULL, 0xbc56468e82df71aaULL, {0, 1}},
+      {"RE(chain5[0])", 0x1e694e018111132bULL, 0xdb7f5b525b1a9154ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain5[1])", 0x1b71bf1b9c19344aULL, 0x6a2ed1a2dbf9529dULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain5[2])", 0xbc216d707c5875c8ULL, 0x7f37ae6cf5edaa7eULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain5[3])", 0x9307ea36b7f4394cULL, 0xc53bbd7f78cc8b29ULL, {0, 1}},
+      {"RE(chain6[0])", 0xb7b79f50bc3e8e21ULL, 0x8d29661a85f4e70fULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain6[1])", 0xcffbb5db0dd09e42ULL, 0x0e5c9ba117df40feULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain6[2])", 0xc5d83438bfae6813ULL, 0xb2067ff7f42aaf30ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain6[3])", 0xd07b4addf5ad98bcULL, 0x5ff059ccd13efa4eULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain6[4])", 0x309fad7f13f40c89ULL, 0x86c4548ca05134d9ULL, {0, 1}},
+      {"RE(chain7[0])", 0x87f868c17ecda702ULL, 0x5b41f303d309574cULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain7[1])", 0xe19132dbf3d6ef27ULL, 0xad899ee514b7f618ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain7[2])", 0x669f4801a0da4f82ULL, 0x45145c27a7e14f31ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain7[3])", 0x3ff2e6f092190fd3ULL, 0xfb90f5f40b80f781ULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain7[4])", 0x5c868768432ffec1ULL, 0x7bfe9fd668b4266aULL, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {"RE(chain7[5])", 0x90082c8932adca3aULL, 0x346d8152d4acf416ULL, {0, 1}},
+  };
+  return pins;
+}
+
+TEST(Canonical, GoldenPinsOnExamplesBenchInputsChainsAndTheirREOutputs) {
+  const std::vector<Named> corpus = golden_corpus();
+  const std::vector<GoldenPin>& pins = golden_pins();
+  std::string computed;
+  for (const Named& entry : corpus) {
+    computed += pin_literal(entry.name, fnv1a(format_problem(entry.problem)),
+                            canonicalize(entry.problem)) +
+                "\n";
+  }
+  ASSERT_EQ(corpus.size(), pins.size()) << "computed pins:\n" << computed;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Named& entry = corpus[i];
+    const GoldenPin& pin = pins[i];
+    const CanonicalForm cf = canonicalize(entry.problem);
+    const std::string now =
+        pin_literal(entry.name, fnv1a(format_problem(entry.problem)), cf);
+    EXPECT_EQ(entry.name, pin.name) << now;
+    EXPECT_EQ(fnv1a(format_problem(entry.problem)), pin.text_hash) << now;
+    EXPECT_EQ(cf.fingerprint, pin.fingerprint) << now;
+    EXPECT_EQ(cf.perm, pin.perm) << now;
+  }
 }
 
 }  // namespace
