@@ -2,22 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
+
+#include "src/formalism/packed_multiset.hpp"
 
 namespace slocal {
 
 namespace {
 
-/// Refinement keys and constraint encodings share one integer alphabet;
-/// 0xFFFFFFFF / 0xFFFFFFFE are reserved as structural separators (label
-/// indices and multiplicities stay far below them).
+/// A constraint encoding: a word sequence compared lexicographically.
+/// kSideSep, above every label and count, opens each side's block.
 using Key = std::vector<std::uint32_t>;
 constexpr std::uint32_t kSideSep = 0xFFFFFFFFu;
-constexpr std::uint32_t kRowSep = 0xFFFFFFFEu;
 
-std::uint64_t fnv1a64(const std::vector<std::uint32_t>& words) {
+std::uint64_t fnv1a64(const Key& words) {
   std::uint64_t h = 14695981039346656037ULL;
   for (const std::uint32_t w : words) {
     for (int shift = 0; shift < 32; shift += 8) {
@@ -32,6 +33,144 @@ int distinct_count(const std::vector<int>& color) {
   return color.empty() ? 0 : *std::max_element(color.begin(), color.end()) + 1;
 }
 
+/// `count` multisets of `width` values below `range`, row-major in `rows`
+/// (any order within a row), ordered by their sorted value tuples:
+/// order[k] is the k-th smallest and rank[k] its dense rank (equal
+/// multisets share one). A multiset packs into one word, the
+/// packed_multiset.hpp encoding of the mirrored values 15 - v (so v's count
+/// sits in nibble 15 - v): of two sorted tuples of equal length, the
+/// lexicographically smaller has more of the first value where they
+/// differ, hence the larger word, so the order is that of ~word. Rows that
+/// cannot pack are sorted in place and compared as tuples.
+struct MultisetOrder {
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> rank;
+
+  MultisetOrder(std::vector<std::uint32_t>& rows, std::size_t width, std::size_t count,
+                std::size_t range)
+      : order(count), rank(count) {
+    if (range <= packed::kLabels && width <= packed::kMaxCount) {
+      std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t word = 0;
+        for (std::size_t j = 0; j < width; ++j) {
+          word += packed::unit(static_cast<Label>(packed::kLabels - 1 - rows[i * width + j]));
+        }
+        keyed[i] = {~word, static_cast<std::uint32_t>(i)};
+      }
+      std::sort(keyed.begin(), keyed.end());
+      for (std::size_t k = 0; k < count; ++k) {
+        order[k] = keyed[k].second;
+        rank[k] = k == 0 ? 0 : rank[k - 1] + (keyed[k].first != keyed[k - 1].first);
+      }
+      return;
+    }
+    const auto row = [&](std::uint32_t i) {
+      return std::span<const std::uint32_t>(rows).subspan(i * width, width);
+    };
+    for (std::size_t i = 0; i < count; ++i) {
+      std::sort(rows.begin() + static_cast<std::ptrdiff_t>(i * width),
+                rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * width));
+    }
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return std::ranges::lexicographical_compare(row(a), row(b));
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      rank[k] = k == 0 ? 0
+                       : rank[k - 1] + !std::ranges::equal(row(order[k - 1]), row(order[k]));
+    }
+  }
+};
+
+/// One side's configurations, flat: configuration i is
+/// labels[i * degree, (i + 1) * degree), sorted. The layout of the
+/// refinement rows is fixed for a whole search: every (label l,
+/// configuration containing l m times) pair owns one slot in bucket
+/// l * (degree + 1) + m, so label l's slots are contiguous and grouped by
+/// multiplicity; run_bucket[run_start[i], run_start[i + 1]) lists
+/// configuration i's buckets.
+struct Side {
+  std::size_t degree = 0;
+  std::size_t count = 0;
+  std::vector<Label> labels;
+  std::vector<std::uint32_t> bucket_start;
+  std::vector<std::uint32_t> run_start;
+  std::vector<std::uint32_t> run_bucket;
+
+  /// Reads `c` over an alphabet of `n` labels, every label renamed through
+  /// `map` when one is given. The map must keep the order of the labels
+  /// that occur, so that configurations stay sorted.
+  Side(const Constraint& c, std::size_t n, const std::vector<Label>* map = nullptr)
+      : degree(c.degree()), count(c.size()) {
+    labels.reserve(count * degree);
+    for (const Configuration& cfg : c.members()) {
+      for (const Label l : cfg.labels()) labels.push_back(map != nullptr ? (*map)[l] : l);
+    }
+    const std::size_t per_label = degree + 1;
+    bucket_start.assign(n * per_label + 1, 0);
+    run_start.assign(count + 1, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      // Sorted labels: each run of equal labels is one distinct label.
+      const Label* row = labels.data() + i * degree;
+      for (std::size_t j = 0; j < degree;) {
+        std::size_t end = j + 1;
+        while (end < degree && row[end] == row[j]) ++end;
+        const std::size_t bucket = row[j] * per_label + (end - j);
+        run_bucket.push_back(static_cast<std::uint32_t>(bucket));
+        ++bucket_start[bucket + 1];
+        j = end;
+      }
+      run_start[i + 1] = static_cast<std::uint32_t>(run_bucket.size());
+    }
+    std::partial_sum(bucket_start.begin(), bucket_start.end(), bucket_start.begin());
+  }
+
+  std::span<const std::uint64_t> rows_of(const std::vector<std::uint64_t>& rows,
+                                         std::size_t l) const {
+    const std::size_t begin = bucket_start[l * (degree + 1)];
+    return std::span<const std::uint64_t>(rows).subspan(
+        begin, bucket_start[(l + 1) * (degree + 1)] - begin);
+  }
+
+  /// Every configuration renamed through `perm` (perm[label] = new label).
+  Constraint build(const std::vector<Label>& perm) const {
+    Constraint out(degree);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<Label> mapped;
+      mapped.reserve(degree);
+      for (std::size_t j = 0; j < degree; ++j) mapped.push_back(perm[labels[i * degree + j]]);
+      out.add(Configuration(std::move(mapped)));
+    }
+    return out;
+  }
+
+  /// Every label's refinement rows on this side under `color` (values below
+  /// `classes`): one (multiplicity << 32) | rank word per configuration
+  /// containing the label, rank ordering configurations by their sorted
+  /// color tuples. Configurations are visited in rank order, so each bucket
+  /// fills sorted and each label's rows (rows_of) come out sorted.
+  std::vector<std::uint64_t> label_rows(const std::vector<int>& color,
+                                        std::size_t classes) const {
+    std::vector<std::uint32_t> colors(labels.size());
+    for (std::size_t k = 0; k < labels.size(); ++k) {
+      colors[k] = static_cast<std::uint32_t>(color[labels[k]]);
+    }
+    const MultisetOrder sorted(colors, degree, count, classes);
+    std::vector<std::uint64_t> rows(bucket_start.back());
+    std::vector<std::uint32_t> fill(bucket_start.begin(), bucket_start.end() - 1);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t i = sorted.order[k];
+      for (std::uint32_t r = run_start[i]; r < run_start[i + 1]; ++r) {
+        const std::uint32_t bucket = run_bucket[r];
+        const std::uint64_t mult = bucket % (degree + 1);
+        rows[fill[bucket]++] = (mult << 32) | sorted.rank[k];
+      }
+    }
+    return rows;
+  }
+};
+
 /// The exact canonical-labeling search: Weisfeiler-Leman-style refinement of
 /// label classes to a fixpoint, then individualization-refinement
 /// backtracking over the first class the refinement could not split. Every
@@ -39,100 +178,82 @@ int distinct_count(const std::vector<int>& color) {
 /// leaves is invariant under any renaming of the input.
 class Canonicalizer {
  public:
-  explicit Canonicalizer(const Problem& p) : p_(p), n_(p.alphabet_size()) {
-    const auto collect = [](const Constraint& c) {
-      std::vector<std::vector<Label>> out;
-      out.reserve(c.size());
-      for (const Configuration& cfg : c.members()) {
-        out.emplace_back(cfg.labels().begin(), cfg.labels().end());
-      }
-      return out;
-    };
-    white_ = collect(p.white());
-    black_ = collect(p.black());
-  }
+  Canonicalizer(std::size_t n, const Side& white, const Side& black)
+      : n_(n), white_(white), black_(black) {}
 
-  CanonicalForm run() {
+  /// Runs the search; returns the canonical perm (perm[label] = canonical
+  /// label) and leaves the winning encoding for fingerprint().
+  std::vector<Label> run() {
     if (n_ == 0) {
-      CanonicalForm out;
-      out.problem = Problem(p_.name(), LabelRegistry{}, p_.white(), p_.black());
-      out.fingerprint = fnv1a64(encode({}));
-      return out;
+      best_enc_ = encode({});
+      return {};
     }
     search(std::vector<int>(n_, 0));
     assert(have_best_);
-
-    CanonicalForm out;
-    out.perm = best_perm_;
-    out.fingerprint = fnv1a64(best_enc_);
-    LabelRegistry reg;
-    for (std::size_t c = 0; c < n_; ++c) reg.intern(std::to_string(c));
-    Constraint white(p_.white_degree());
-    for (const auto& cfg : white_) white.add(remap(cfg, best_perm_));
-    Constraint black(p_.black_degree());
-    for (const auto& cfg : black_) black.add(remap(cfg, best_perm_));
-    out.problem =
-        Problem(p_.name(), std::move(reg), std::move(white), std::move(black));
-    return out;
+    return best_perm_;
   }
+
+  std::uint64_t fingerprint() const { return fnv1a64(best_enc_); }
 
  private:
-  static Configuration remap(const std::vector<Label>& cfg,
-                             const std::vector<Label>& perm) {
-    std::vector<Label> out;
-    out.reserve(cfg.size());
-    for (const Label l : cfg) out.push_back(perm[l]);
-    return Configuration(std::move(out));
+  /// One refinement round. A label's key is its color, then its white rows,
+  /// then its black rows (Side::label_rows), each side's rows in sorted
+  /// order; labels are renumbered by the rank of their key, so the new
+  /// colors keep the existing class order and are 0..k-1. A proper prefix
+  /// sorts after on the white side and before on the black side: the order
+  /// of the original word-vector keys (see canonical.hpp).
+  std::vector<int> refine_round(const std::vector<int>& color) const {
+    // The keys only compare colors, so an order-preserving renumbering to
+    // 0..classes-1 ranks identically (and lets small inputs pack).
+    std::vector<int> dense(static_cast<std::size_t>(distinct_count(color)), 0);
+    for (const int c : color) dense[static_cast<std::size_t>(c)] = 1;
+    std::partial_sum(dense.begin(), dense.end(), dense.begin());
+    const std::size_t classes = dense.empty() ? 0 : static_cast<std::size_t>(dense.back());
+    std::vector<int> dense_color(n_);
+    for (std::size_t l = 0; l < n_; ++l) {
+      dense_color[l] = dense[static_cast<std::size_t>(color[l])] - 1;
+    }
+    const std::vector<std::uint64_t> white_rows = white_.label_rows(dense_color, classes);
+    const std::vector<std::uint64_t> black_rows = black_.label_rows(dense_color, classes);
+    const auto compare_rows = [](std::span<const std::uint64_t> a,
+                                 std::span<const std::uint64_t> b, bool prefix_first) {
+      const std::size_t common = std::min(a.size(), b.size());
+      for (std::size_t k = 0; k < common; ++k) {
+        if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+      }
+      if (a.size() == b.size()) return 0;
+      return (a.size() < b.size()) == prefix_first ? -1 : 1;
+    };
+    const auto compare = [&](std::size_t a, std::size_t b) {
+      if (dense_color[a] != dense_color[b]) return dense_color[a] < dense_color[b] ? -1 : 1;
+      const int white =
+          compare_rows(white_.rows_of(white_rows, a), white_.rows_of(white_rows, b), false);
+      if (white != 0) return white;
+      return compare_rows(black_.rows_of(black_rows, a), black_.rows_of(black_rows, b),
+                          true);
+    };
+    std::vector<std::size_t> order(n_);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return compare(a, b) < 0; });
+    std::vector<int> next(n_);
+    int id = 0;
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (k > 0 && compare(order[k - 1], order[k]) != 0) ++id;
+      next[order[k]] = id;
+    }
+    return next;
   }
 
-  /// One side's contribution to a label's refinement key: the multiset, over
-  /// configurations containing the label, of (own multiplicity, sorted
-  /// colors of the whole configuration) rows. Invariant under renaming
-  /// because it references labels only through their current colors.
-  void append_side_key(const std::vector<std::vector<Label>>& configs, Label l,
-                       const std::vector<int>& color, Key& key) const {
-    std::vector<Key> rows;
-    for (const auto& cfg : configs) {
-      std::uint32_t mult = 0;
-      for (const Label x : cfg) mult += (x == l) ? 1 : 0;
-      if (mult == 0) continue;
-      Key row;
-      row.reserve(cfg.size() + 1);
-      row.push_back(mult);
-      std::vector<std::uint32_t> colors;
-      colors.reserve(cfg.size());
-      for (const Label x : cfg) colors.push_back(static_cast<std::uint32_t>(color[x]));
-      std::sort(colors.begin(), colors.end());
-      row.insert(row.end(), colors.begin(), colors.end());
-      rows.push_back(std::move(row));
-    }
-    std::sort(rows.begin(), rows.end());
-    key.push_back(kSideSep);
-    for (const Key& row : rows) {
-      key.push_back(kRowSep);
-      key.insert(key.end(), row.begin(), row.end());
-    }
-  }
-
-  /// Drives the color partition to a refinement fixpoint. Colors are
-  /// renumbered by sorted key rank each round; keys start with the previous
-  /// color, so the renumbering preserves the existing class order and the
-  /// result is rank-normalized (0..k-1 in canonical order).
+  /// Drives the color partition to a refinement fixpoint: stops once a
+  /// round no longer raises the class count, counted as max color + 1. An
+  /// individualized input (colors 2c and 2c + 1) is not dense, so its first
+  /// round is measured against that larger count; the original
+  /// implementation stopped by the same rule, and twinned problems in
+  /// canonical_test pin it.
   std::vector<int> refine(std::vector<int> color) const {
     while (true) {
-      std::map<Key, int> rank;
-      std::vector<Key> keys(n_);
-      for (std::size_t l = 0; l < n_; ++l) {
-        Key& key = keys[l];
-        key.push_back(static_cast<std::uint32_t>(color[l]));
-        append_side_key(white_, static_cast<Label>(l), color, key);
-        append_side_key(black_, static_cast<Label>(l), color, key);
-        rank.emplace(key, 0);
-      }
-      int next_id = 0;
-      for (auto& [key, id] : rank) id = next_id++;
-      std::vector<int> next(n_);
-      for (std::size_t l = 0; l < n_; ++l) next[l] = rank[keys[l]];
+      std::vector<int> next = refine_round(color);
       const bool stable = distinct_count(next) == distinct_count(color);
       color = std::move(next);
       if (stable) return color;
@@ -187,38 +308,33 @@ class Canonicalizer {
   /// comparison of encodings defines the canonical representative.
   Key encode(const std::vector<Label>& perm) const {
     Key out;
-    out.reserve(5 + (white_.size() + 1) * (p_.white_degree() + 1) +
-                (black_.size() + 1) * (p_.black_degree() + 1));
+    out.reserve(5 + (white_.count + 1) * (white_.degree + 1) +
+                (black_.count + 1) * (black_.degree + 1));
     out.push_back(static_cast<std::uint32_t>(n_));
-    out.push_back(static_cast<std::uint32_t>(p_.white_degree()));
-    out.push_back(static_cast<std::uint32_t>(p_.black_degree()));
-    out.push_back(static_cast<std::uint32_t>(white_.size()));
-    out.push_back(static_cast<std::uint32_t>(black_.size()));
-    const auto add_side = [&](const std::vector<std::vector<Label>>& configs) {
+    out.push_back(static_cast<std::uint32_t>(white_.degree));
+    out.push_back(static_cast<std::uint32_t>(black_.degree));
+    out.push_back(static_cast<std::uint32_t>(white_.count));
+    out.push_back(static_cast<std::uint32_t>(black_.count));
+    for (const Side* side : {&white_, &black_}) {
       out.push_back(kSideSep);
-      std::vector<std::vector<Label>> remapped;
-      remapped.reserve(configs.size());
-      for (const auto& cfg : configs) {
-        std::vector<Label> r;
-        r.reserve(cfg.size());
-        for (const Label l : cfg) r.push_back(perm[l]);
-        std::sort(r.begin(), r.end());
-        remapped.push_back(std::move(r));
+      const std::size_t d = side->degree;
+      std::vector<std::uint32_t> rows(side->labels.size());
+      for (std::size_t k = 0; k < rows.size(); ++k) rows[k] = perm[side->labels[k]];
+      for (std::size_t i = 0; i < side->count; ++i) {
+        std::sort(rows.begin() + static_cast<std::ptrdiff_t>(i * d),
+                  rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * d));
       }
-      std::sort(remapped.begin(), remapped.end());
-      for (const auto& r : remapped) {
-        for (const Label l : r) out.push_back(l);
+      for (const std::uint32_t i : MultisetOrder(rows, d, side->count, n_).order) {
+        out.insert(out.end(), rows.begin() + static_cast<std::ptrdiff_t>(i * d),
+                   rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * d));
       }
-    };
-    add_side(white_);
-    add_side(black_);
+    }
     return out;
   }
 
-  const Problem& p_;
   std::size_t n_;
-  std::vector<std::vector<Label>> white_;
-  std::vector<std::vector<Label>> black_;
+  const Side& white_;
+  const Side& black_;
   Key best_enc_;
   std::vector<Label> best_perm_;
   bool have_best_ = false;
@@ -226,10 +342,58 @@ class Canonicalizer {
 
 }  // namespace
 
-CanonicalForm canonicalize(const Problem& p) { return Canonicalizer(p).run(); }
+CanonicalForm canonicalize(const Problem& p) {
+  const std::size_t n = p.alphabet_size();
+  const Side white(p.white(), n);
+  const Side black(p.black(), n);
+  Canonicalizer search(n, white, black);
+  CanonicalForm out;
+  out.perm = search.run();
+  out.fingerprint = search.fingerprint();
+  LabelRegistry reg;
+  for (std::size_t c = 0; c < n; ++c) reg.intern(std::to_string(c));
+  out.problem = Problem(p.name(), std::move(reg), white.build(out.perm),
+                        black.build(out.perm));
+  return out;
+}
 
 std::uint64_t canonical_fingerprint(const Problem& p) {
-  return canonicalize(p).fingerprint;
+  const std::size_t n = p.alphabet_size();
+  const Side white(p.white(), n);
+  const Side black(p.black(), n);
+  Canonicalizer search(n, white, black);
+  search.run();
+  return search.fingerprint();
+}
+
+Problem drop_unused_labels(const Problem& p) {
+  std::vector<bool> used(p.alphabet_size(), false);
+  for (const Label l : p.white().used_labels()) used[l] = true;
+  for (const Label l : p.black().used_labels()) used[l] = true;
+  // Survivors keep their relative order, so compacted configurations stay
+  // sorted; survivors[compact label] = original label.
+  std::vector<Label> compact(p.alphabet_size(), 0);
+  std::vector<Label> survivors;
+  for (std::size_t l = 0; l < used.size(); ++l) {
+    if (!used[l]) continue;
+    compact[l] = static_cast<Label>(survivors.size());
+    survivors.push_back(static_cast<Label>(l));
+  }
+
+  // Reindex the survivors canonically so the result's constraint structure
+  // depends only on the renaming class of the input, not on which indices
+  // happened to be used. Names still travel with their labels.
+  const std::size_t n = survivors.size();
+  const Side white(p.white(), n, &compact);
+  const Side black(p.black(), n, &compact);
+  const std::vector<Label> perm = Canonicalizer(n, white, black).run();
+  std::vector<Label> inverse(n, 0);
+  for (std::size_t l = 0; l < n; ++l) inverse[perm[l]] = static_cast<Label>(l);
+  LabelRegistry named;
+  for (std::size_t c = 0; c < n; ++c) {
+    named.intern(p.registry().name(survivors[inverse[c]]));
+  }
+  return Problem(p.name(), std::move(named), white.build(perm), black.build(perm));
 }
 
 Problem apply_renaming(const Problem& p, const std::vector<Label>& perm) {

@@ -9,12 +9,28 @@
 // same 64-bit fingerprint, so "already seen up to renaming?" becomes one
 // hash probe instead of a pairwise bijection search.
 //
-// Algorithm: iterated signature refinement (a 1-dimensional Weisfeler-Leman
+// Algorithm: iterated signature refinement (a 1-dimensional Weisfeiler-Leman
 // pass over the labels' occurrence patterns, the `LabelSignature` idea from
 // problem.cpp driven to a fixpoint), then individualization-refinement
 // backtracking over the surviving label classes, keeping the permutation
 // whose constraint encoding is lexicographically least. Exact — never a
 // heuristic tie-break — so the canonical form is a total invariant.
+//
+// A refinement round is one pass over each side's configurations. Each
+// configuration's multiset of label colors is ranked once: packed into a
+// 64-bit word (color c's count in nibble 15 - c, so a lexicographically
+// smaller sorted color tuple is a larger word) when at most 16 colors and
+// degree <= 15, else as a sorted tuple. Visiting configurations in rank
+// order, every label they contain gets a (multiplicity, rank) row in a flat
+// slot array laid out once per search, so each label's rows come out
+// sorted without a per-label scan. Labels are then ranked by (previous
+// color, white rows, black rows). That order reproduces the original
+// word-vector keys [color, S, (R row)*, S, (R row)*] with separators R < S
+// exactly, including their asymmetry: a white row list that is a proper
+// prefix of another sorts after it (it meets S where the other has R), a
+// black one before it (the key ends). The canonical perm and fingerprint
+// therefore match those stored in certificates and RE caches written by
+// earlier builds.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +55,15 @@ struct CanonicalForm {
   std::uint64_t fingerprint = 0;
 };
 
-/// Computes the canonical form. Cost: refinement is linear in the constraint
-/// size per round; the backtracking only branches inside label classes the
-/// refinement could not split (symmetric labels), which stay tiny for every
-/// problem family in this repository.
+/// Computes the canonical form. Cost: a refinement round is one pass over
+/// the constraints plus two sorts, of the configurations by color multiset
+/// and of the n labels by their rows; the backtracking only branches inside
+/// label classes the refinement could not split (symmetric labels), which
+/// stay tiny for every problem family in this repository.
 CanonicalForm canonicalize(const Problem& p);
 
-/// Fingerprint shorthand (computes the full canonical form internally).
+/// The fingerprint alone: runs the same search as canonicalize but does not
+/// build the canonical problem.
 std::uint64_t canonical_fingerprint(const Problem& p);
 
 /// Applies a label bijection: configuration labels are remapped through

@@ -5,8 +5,6 @@
 #include <cassert>
 #include <map>
 
-#include "src/formalism/canonical.hpp"
-
 namespace slocal {
 
 Problem::Problem(std::string name, LabelRegistry registry, Constraint white,
@@ -111,39 +109,6 @@ std::optional<std::vector<Label>> equivalent_up_to_renaming_bruteforce(
   std::vector<bool> used(n, false);
   if (search_bijection(a, b, candidates, map, used, 0)) return map;
   return std::nullopt;
-}
-
-Problem drop_unused_labels(const Problem& p) {
-  std::vector<bool> used(p.alphabet_size(), false);
-  for (const Label l : p.white().used_labels()) used[l] = true;
-  for (const Label l : p.black().used_labels()) used[l] = true;
-
-  LabelRegistry reg;
-  std::vector<Label> remap_table(p.alphabet_size(), 0);
-  for (std::size_t i = 0; i < p.alphabet_size(); ++i) {
-    if (used[i]) {
-      remap_table[i] = reg.intern(p.registry().name(static_cast<Label>(i)));
-    }
-  }
-  Constraint white(p.white_degree());
-  for (const auto& c : p.white().members()) white.add(remap(c, remap_table));
-  Constraint black(p.black_degree());
-  for (const auto& c : p.black().members()) black.add(remap(c, remap_table));
-  Problem compact(p.name(), std::move(reg), std::move(white), std::move(black));
-
-  // Reindex the survivors canonically so the result's constraint structure
-  // depends only on the renaming class of the input, not on which indices
-  // happened to be used. Names still travel with their labels.
-  const CanonicalForm cf = canonicalize(compact);
-  std::vector<Label> inverse(cf.perm.size(), 0);
-  for (std::size_t l = 0; l < cf.perm.size(); ++l) {
-    inverse[cf.perm[l]] = static_cast<Label>(l);
-  }
-  LabelRegistry named;
-  for (std::size_t c = 0; c < cf.perm.size(); ++c) {
-    named.intern(compact.registry().name(inverse[c]));
-  }
-  return Problem(p.name(), std::move(named), cf.problem.white(), cf.problem.black());
 }
 
 }  // namespace slocal

@@ -65,7 +65,9 @@ std::optional<std::vector<Label>> equivalent_up_to_renaming_bruteforce(
 /// survivors in canonical order (names preserved for surviving labels), so
 /// renaming-equivalent inputs yield structurally identical constraint sets.
 /// (The old used-label-order reindexing made two renaming-equivalent
-/// problems disagree after dropping.)
+/// problems disagree after dropping.) Implemented in
+/// src/formalism/canonical.cpp: the canonical search reads the compacted
+/// configurations directly, and the result's constraints are built once.
 Problem drop_unused_labels(const Problem& p);
 
 }  // namespace slocal

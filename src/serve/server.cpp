@@ -92,7 +92,7 @@ std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
 /// or label names it arrived under.
 std::string sweep_memo_prefix(const Problem& problem, std::size_t big_delta,
                               std::size_t big_r) {
-  return hex16(canonicalize(problem).fingerprint) + '/' +
+  return hex16(canonical_fingerprint(problem)) + '/' +
          std::to_string(big_delta) + '/' + std::to_string(big_r) + '/';
 }
 

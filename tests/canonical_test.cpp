@@ -28,9 +28,11 @@
 #include "src/problems/classic.hpp"
 #include "src/problems/coloring_family.hpp"
 #include "src/problems/matching_family.hpp"
+#include "src/problems/rulingset_family.hpp"
 #include "src/re/round_elimination.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/rng.hpp"
+#include "tests/canonical_reference.hpp"
 #include "tests/diff_oracle.hpp"
 
 #ifndef SLOCAL_PROBLEM_DIR
@@ -275,6 +277,170 @@ TEST(Canonical, DropUnusedLabelsOldOrderDependenceIsPinned) {
   EXPECT_TRUE(a.registry().find("B").has_value());
   EXPECT_FALSE(a.registry().find("junk").has_value());
   EXPECT_EQ(a.alphabet_size(), 2u);
+}
+
+/// Exact agreement with the per-label reference implementation: perm,
+/// fingerprint, and the canonical problem (constraints, synthetic registry,
+/// name).
+::testing::AssertionResult matches_reference(const Problem& p) {
+  const CanonicalForm now = canonicalize(p);
+  const CanonicalForm ref = canonicalize_reference(p);
+  if (now.perm != ref.perm) return ::testing::AssertionFailure() << "perm differs";
+  if (now.fingerprint != ref.fingerprint) {
+    return ::testing::AssertionFailure() << "fingerprint differs";
+  }
+  if (!same_constraints(now.problem, ref.problem) || !(now.problem == ref.problem)) {
+    return ::testing::AssertionFailure() << "canonical problem differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Canonical, MatchesReferenceOn500PlusSeededProblemsAndRenamings) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; checked < kSeeds; ++seed) {
+    Rng rng(seed);
+    const auto p = draw_problem(rng);
+    if (!p.has_value()) continue;
+    ++checked;
+    ASSERT_TRUE(matches_reference(*p)) << "seed " << seed;
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<Label> sigma = random_permutation(p->alphabet_size(), rng);
+      ASSERT_TRUE(matches_reference(apply_renaming(*p, sigma)))
+          << "seed " << seed << " renaming " << round;
+    }
+  }
+  EXPECT_GE(checked, 500);
+}
+
+/// `p` over twice the alphabet, every label l paired with a twin l + n:
+/// each configuration is added three times with a random choice between
+/// every label and its twin, each time together with its mirror image
+/// (every label swapped with its twin). Swapping all twins is then an
+/// automorphism, so the refinement leaves classes the search must
+/// individualize — the path where the refinement loop's stop rule matters.
+Problem twinned_problem(const Problem& p, Rng& rng) {
+  const std::size_t n = p.alphabet_size();
+  LabelRegistry reg;
+  for (std::size_t l = 0; l < 2 * n; ++l) reg.intern("T" + std::to_string(l));
+  const auto twin_side = [&](const Constraint& c) {
+    Constraint out(c.degree());
+    for (const Configuration& cfg : c.sorted_members()) {
+      for (int variant = 0; variant < 3; ++variant) {
+        std::vector<Label> pick;
+        std::vector<Label> mirror;
+        for (const Label l : cfg.labels()) {
+          const bool twin = rng.below(2) == 1;
+          pick.push_back(static_cast<Label>(twin ? l + n : l));
+          mirror.push_back(static_cast<Label>(twin ? l : l + n));
+        }
+        out.add(Configuration(std::move(pick)));
+        out.add(Configuration(std::move(mirror)));
+      }
+    }
+    return out;
+  };
+  return Problem(p.name() + "/twinned", std::move(reg), twin_side(p.white()),
+                 twin_side(p.black()));
+}
+
+TEST(Canonical, MatchesReferenceOnTwinnedProblems) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const std::size_t dw = 2 + static_cast<std::size_t>(rng.below(3));
+    const std::size_t db = 2 + static_cast<std::size_t>(rng.below(3));
+    const std::size_t alphabet = 2 + static_cast<std::size_t>(rng.below(4));
+    const auto p = random_problem(dw, db, alphabet, rng);
+    if (!p.has_value()) continue;
+    ++checked;
+    ASSERT_TRUE(matches_reference(twinned_problem(*p, rng))) << "seed " << seed;
+  }
+  EXPECT_GE(checked, 600);
+}
+
+/// An asymmetric problem over `n` labels: white {0 0} and every {i i+1},
+/// black every {i i i+1}. Refinement splits it down to single labels, so
+/// alphabets far above 16 stay cheap to canonicalize (a fully symmetric
+/// alphabet, like proper coloring's, costs n! leaves).
+Problem ladder_problem(std::size_t n) {
+  LabelRegistry reg;
+  for (std::size_t l = 0; l < n; ++l) reg.intern("L" + std::to_string(l));
+  Constraint white(2);
+  Constraint black(3);
+  white.add(Configuration({Label{0}, Label{0}}));
+  for (std::size_t l = 0; l + 1 < n; ++l) {
+    const Label a = static_cast<Label>(l);
+    const Label b = static_cast<Label>(l + 1);
+    white.add(Configuration({a, b}));
+    black.add(Configuration({a, a, b}));
+  }
+  return Problem("ladder" + std::to_string(n), std::move(reg), std::move(white),
+                 std::move(black));
+}
+
+/// Every problem family the repository generates, over small parameters.
+/// Alphabets above 16 (the ladders) and degrees above 15 (the Δ = 16
+/// problems) take the refinement's unpacked path.
+std::vector<Problem> generated_families() {
+  std::vector<Problem> out;
+  for (std::size_t delta = 2; delta <= 6; ++delta) {
+    for (std::size_t y = 1; y < delta; ++y) {
+      for (std::size_t x = 0; x + y <= delta; ++x) {
+        out.push_back(make_matching_problem(delta, x, y));
+      }
+    }
+  }
+  out.push_back(make_matching_problem(7, 1, 2));
+  for (std::size_t delta = 2; delta <= 4; ++delta) {
+    for (std::size_t c = 1; c <= 3; ++c) out.push_back(make_coloring_problem(delta, c));
+  }
+  out.push_back(make_coloring_problem(3, 4));
+  for (std::size_t delta = 3; delta <= 4; ++delta) {
+    for (std::size_t c = 1; c <= 2; ++c) {
+      for (std::size_t beta = 1; beta <= 2; ++beta) {
+        out.push_back(make_rulingset_problem(delta, c, beta));
+      }
+    }
+  }
+  for (std::size_t delta = 2; delta <= 5; ++delta) {
+    out.push_back(make_maximal_matching_problem(delta));
+    out.push_back(make_sinkless_orientation_problem(delta));
+    out.push_back(make_proper_coloring_problem(delta, delta + 1));
+  }
+  out.push_back(ladder_problem(17));
+  out.push_back(ladder_problem(24));
+  out.push_back(make_maximal_matching_problem(16));
+  out.push_back(make_sinkless_orientation_problem(16));
+  out.push_back(make_hypergraph_coloring_problem(3, 3, 2));
+  out.push_back(make_hypergraph_coloring_problem(2, 3, 3));
+  out.push_back(make_hypergraph_matching_problem(3, 3));
+  out.push_back(make_hypergraph_matching_problem(2, 4));
+  return out;
+}
+
+TEST(Canonical, MatchesReferenceOnGeneratedFamiliesAndTheirREOutputs) {
+  REOptions options;
+  options.threads = 1;
+  options.max_configurations = 200'000;
+  Rng rng(17);
+  int re_outputs = 0;
+  for (const Problem& p : generated_families()) {
+    std::vector<Problem> subjects = {p};
+    // RE only where it stays fast: the 16-label and Δ = 16 inputs cost
+    // hundreds of milliseconds each.
+    const bool small = p.alphabet_size() <= 9 && p.white_degree() <= 7;
+    if (auto re = small ? round_eliminate(p, options) : std::nullopt) {
+      subjects.push_back(std::move(*re));
+      ++re_outputs;
+    }
+    for (const Problem& subject : subjects) {
+      ASSERT_TRUE(matches_reference(subject)) << subject.name();
+      const std::vector<Label> sigma = random_permutation(subject.alphabet_size(), rng);
+      ASSERT_TRUE(matches_reference(apply_renaming(subject, sigma)))
+          << subject.name() << " renamed";
+    }
+  }
+  EXPECT_GE(re_outputs, 50);
 }
 
 struct Named {
